@@ -10,8 +10,10 @@
 //! is the paper's machinery doing something the edge-list baseline
 //! cannot do without first materializing that quadratic expansion.
 
+use crate::ingest::{edge_rows, VertexIds};
 use aarray_algebra::{BinaryOp, OpPair, Value};
-use aarray_core::{AArray, KeySet};
+use aarray_core::AArray;
+use aarray_sparse::Coo;
 use std::collections::BTreeSet;
 
 /// One directed hyperedge: a key, weighted sources, weighted targets.
@@ -26,24 +28,36 @@ pub struct HyperEdge<V: Value> {
 }
 
 /// A directed hypergraph.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct HyperGraph<V: Value> {
-    vertices: BTreeSet<String>,
+    vertices: VertexIds,
+    /// Source and target vertex ids of each hyperedge, parallel to
+    /// `edges`.
+    ends: Vec<(Vec<u32>, Vec<u32>)>,
     edges: Vec<HyperEdge<V>>,
+}
+
+/// Equal when the hyperedges match and the vertex sets match, whatever
+/// order the vertices were first seen in.
+impl<V: Value> PartialEq for HyperGraph<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.edges == other.edges && self.vertices == other.vertices
+    }
 }
 
 impl<V: Value> HyperGraph<V> {
     /// An empty hypergraph.
     pub fn new() -> Self {
         HyperGraph {
-            vertices: BTreeSet::new(),
+            vertices: VertexIds::default(),
+            ends: Vec::new(),
             edges: Vec::new(),
         }
     }
 
     /// Add an isolated vertex.
     pub fn add_vertex(&mut self, v: impl Into<String>) {
-        self.vertices.insert(v.into());
+        self.vertices.id(&v.into());
     }
 
     /// Add a hyperedge. Sources and targets must be non-empty.
@@ -57,9 +71,11 @@ impl<V: Value> HyperGraph<V> {
             !sources.is_empty() && !targets.is_empty(),
             "hyperedge needs sources and targets"
         );
-        for (v, _) in sources.iter().chain(targets.iter()) {
-            self.vertices.insert(v.clone());
-        }
+        let mut ids = |side: &[(String, V)]| -> Vec<u32> {
+            side.iter().map(|(v, _)| self.vertices.id(v)).collect()
+        };
+        let ends = (ids(&sources), ids(&targets));
+        self.ends.push(ends);
         self.edges.push(HyperEdge {
             key: key.into(),
             sources,
@@ -105,33 +121,30 @@ impl<V: Value> HyperGraph<V> {
         A: BinaryOp<V>,
         M: BinaryOp<V>,
     {
-        let edge_keys = KeySet::from_iter(self.edges.iter().map(|e| e.key.clone()));
-        assert_eq!(
-            edge_keys.len(),
-            self.edges.len(),
-            "edge keys must be unique"
-        );
-        let vertex_keys = KeySet::from_iter(self.vertices.iter().cloned());
+        let m = self.edges.len();
+        let (edge_keys, order) = edge_rows(m, |i| self.edges[i].key.as_str());
+        let (vertex_keys, rank) = self.vertices.ranked();
 
-        let mut out_triples = Vec::new();
-        let mut in_triples = Vec::new();
-        for e in &self.edges {
-            for (v, w) in &e.sources {
+        let n = vertex_keys.len();
+        let (mut out_coo, mut in_coo) = (Coo::new(m, n), Coo::new(m, n));
+        for (row, &i) in order.iter().enumerate() {
+            let e = &self.edges[i as usize];
+            let (src_ids, dst_ids) = &self.ends[i as usize];
+            for ((_, w), &v) in e.sources.iter().zip(src_ids) {
                 assert!(!pair.is_zero(w), "zero source incidence on {}", e.key);
-                out_triples.push((e.key.clone(), v.clone(), w.clone()));
+                out_coo.push(row, rank[v as usize] as usize, w.clone());
             }
-            for (v, w) in &e.targets {
+            for ((_, w), &v) in e.targets.iter().zip(dst_ids) {
                 assert!(!pair.is_zero(w), "zero target incidence on {}", e.key);
-                in_triples.push((e.key.clone(), v.clone(), w.clone()));
+                in_coo.push(row, rank[v as usize] as usize, w.clone());
             }
         }
-        let eout = AArray::from_triples_with_keys(
-            pair,
+        let eout = AArray::from_parts(
             edge_keys.clone(),
             vertex_keys.clone(),
-            out_triples,
+            out_coo.into_csr(pair),
         );
-        let ein = AArray::from_triples_with_keys(pair, edge_keys, vertex_keys, in_triples);
+        let ein = AArray::from_parts(edge_keys, vertex_keys, in_coo.into_csr(pair));
         (eout, ein)
     }
 }

@@ -40,6 +40,7 @@ pub mod export;
 pub mod generators;
 pub mod hits;
 pub mod hypergraph;
+mod ingest;
 pub mod kcore;
 pub mod metrics;
 pub mod multigraph;

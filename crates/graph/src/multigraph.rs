@@ -1,8 +1,10 @@
 //! Directed multigraphs with labelled vertices and keyed, weighted
 //! edges — the object whose incidence arrays the paper multiplies.
 
+use crate::ingest::{edge_rows, VertexIds};
 use aarray_algebra::{BinaryOp, OpPair, Value};
-use aarray_core::{AArray, KeySet};
+use aarray_core::AArray;
+use aarray_sparse::Csr;
 use std::collections::BTreeSet;
 
 /// One directed edge: a unique key `k ∈ K`, endpoints, and the values
@@ -40,24 +42,35 @@ pub struct Edge<V: Value> {
 /// assert_eq!(adj.get("a", "b"), Some(&Nat(5))); // 2·1 ⊕ 3·1
 /// assert!(pattern_diff(&adj, g.edge_pattern()).is_exact());
 /// ```
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct MultiGraph<V: Value> {
-    vertices: BTreeSet<String>,
+    vertices: VertexIds,
+    /// `(src, dst)` vertex ids of each edge, parallel to `edges`.
+    ends: Vec<(u32, u32)>,
     edges: Vec<Edge<V>>,
+}
+
+/// Equal when the edge lists match and the vertex sets match, whatever
+/// order the vertices were first seen in.
+impl<V: Value> PartialEq for MultiGraph<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.edges == other.edges && self.vertices == other.vertices
+    }
 }
 
 impl<V: Value> MultiGraph<V> {
     /// An empty graph.
     pub fn new() -> Self {
         MultiGraph {
-            vertices: BTreeSet::new(),
+            vertices: VertexIds::default(),
+            ends: Vec::new(),
             edges: Vec::new(),
         }
     }
 
     /// Add an isolated vertex (no-op if present).
     pub fn add_vertex(&mut self, v: impl Into<String>) {
-        self.vertices.insert(v.into());
+        self.vertices.id(&v.into());
     }
 
     /// Add an edge with explicit key and incidence values. Endpoints
@@ -77,8 +90,8 @@ impl<V: Value> MultiGraph<V> {
             wout,
             win,
         };
-        self.vertices.insert(e.src.clone());
-        self.vertices.insert(e.dst.clone());
+        let ends = (self.vertices.id(&e.src), self.vertices.id(&e.dst));
+        self.ends.push(ends);
         self.edges.push(e);
     }
 
@@ -106,7 +119,7 @@ impl<V: Value> MultiGraph<V> {
 
     /// The vertices, ascending.
     pub fn vertices(&self) -> impl Iterator<Item = &str> + '_ {
-        self.vertices.iter().map(String::as_str)
+        self.vertices.sorted().into_iter()
     }
 
     /// The edges in insertion order.
@@ -127,20 +140,21 @@ impl<V: Value> MultiGraph<V> {
     /// The reverse graph `Ḡ` (Corollary III.1): directions flipped,
     /// each edge's `wout`/`win` swapped.
     pub fn reverse(&self) -> MultiGraph<V> {
-        let mut g = MultiGraph::new();
-        for v in &self.vertices {
-            g.add_vertex(v.clone());
+        MultiGraph {
+            vertices: self.vertices.clone(),
+            ends: self.ends.iter().map(|&(s, d)| (d, s)).collect(),
+            edges: self
+                .edges
+                .iter()
+                .map(|e| Edge {
+                    key: e.key.clone(),
+                    src: e.dst.clone(),
+                    dst: e.src.clone(),
+                    wout: e.win.clone(),
+                    win: e.wout.clone(),
+                })
+                .collect(),
         }
-        for e in &self.edges {
-            g.add_edge(
-                e.key.clone(),
-                e.dst.clone(),
-                e.src.clone(),
-                e.win.clone(),
-                e.wout.clone(),
-            );
-        }
-        g
     }
 
     /// Extract the incidence arrays `(Eout, Ein)`, both `K × (Kout ∪
@@ -149,40 +163,46 @@ impl<V: Value> MultiGraph<V> {
     /// `Kout`/`Kin` split is recovered by column selection).
     ///
     /// Values equal to the pair's zero are rejected: Definition I.4
-    /// requires `Eout(k, a) ≠ 0` exactly at incidences.
+    /// requires `Eout(k, a) ≠ 0` exactly at incidences. Duplicate edge
+    /// keys are rejected too.
+    ///
+    /// Each edge row holds exactly one nonzero, so both arrays are
+    /// assembled directly in CSR form: row `r` is the `r`-th smallest
+    /// edge key, and its one column is the rank of the endpoint's name.
     pub fn incidence_arrays<A, M>(&self, pair: &OpPair<V, A, M>) -> (AArray<V>, AArray<V>)
     where
         A: BinaryOp<V>,
         M: BinaryOp<V>,
     {
-        let edge_keys = KeySet::from_iter(self.edges.iter().map(|e| e.key.clone()));
-        assert_eq!(
-            edge_keys.len(),
-            self.edges.len(),
-            "edge keys must be unique (duplicate incidence rows would merge)"
-        );
-        let vertex_keys = KeySet::from_iter(self.vertices.iter().cloned());
+        let m = self.edges.len();
+        let (edge_keys, order) = edge_rows(m, |i| self.edges[i].key.as_str());
+        let (vertex_keys, rank) = self.vertices.ranked();
 
-        let mut out_triples = Vec::with_capacity(self.edges.len());
-        let mut in_triples = Vec::with_capacity(self.edges.len());
-        for e in &self.edges {
+        let (mut out_cols, mut out_vals) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        let (mut in_cols, mut in_vals) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        for &i in &order {
+            let e = &self.edges[i as usize];
             assert!(
                 !pair.is_zero(&e.wout) && !pair.is_zero(&e.win),
                 "edge {} carries a zero incidence value for pair {}",
                 e.key,
                 pair.name()
             );
-            out_triples.push((e.key.clone(), e.src.clone(), e.wout.clone()));
-            in_triples.push((e.key.clone(), e.dst.clone(), e.win.clone()));
+            let (s, d) = self.ends[i as usize];
+            out_cols.push(rank[s as usize]);
+            out_vals.push(e.wout.clone());
+            in_cols.push(rank[d as usize]);
+            in_vals.push(e.win.clone());
         }
 
-        let eout = AArray::from_triples_with_keys(
-            pair,
+        let n = vertex_keys.len();
+        let one_per_row = |cols, vals| Csr::from_parts(m, n, (0..=m).collect(), cols, vals);
+        let eout = AArray::from_parts(
             edge_keys.clone(),
             vertex_keys.clone(),
-            out_triples,
+            one_per_row(out_cols, out_vals),
         );
-        let ein = AArray::from_triples_with_keys(pair, edge_keys, vertex_keys, in_triples);
+        let ein = AArray::from_parts(edge_keys, vertex_keys, one_per_row(in_cols, in_vals));
         (eout, ein)
     }
 }
@@ -269,6 +289,32 @@ mod tests {
         g.add_edge("e", "a", "b", Nat(1), Nat(1));
         g.add_edge("e", "b", "c", Nat(1), Nat(1));
         let _ = g.incidence_arrays(&pair);
+    }
+
+    #[test]
+    #[should_panic(expected = "unique")]
+    fn non_adjacent_duplicate_edge_keys_rejected() {
+        // The keys are out of order, so the sort runs and must still
+        // catch the duplicate it brings together.
+        let pair = PlusTimes::<Nat>::new();
+        let mut g = MultiGraph::new();
+        g.add_edge("b", "a", "b", Nat(1), Nat(1));
+        g.add_edge("a", "b", "c", Nat(1), Nat(1));
+        g.add_edge("b", "c", "a", Nat(1), Nat(1));
+        let _ = g.incidence_arrays(&pair);
+    }
+
+    #[test]
+    fn equality_ignores_vertex_arrival_order() {
+        let mut g: MultiGraph<Nat> = MultiGraph::new();
+        g.add_vertex("z");
+        g.add_edge("e", "a", "b", Nat(1), Nat(1));
+        let mut h: MultiGraph<Nat> = MultiGraph::new();
+        h.add_edge("e", "a", "b", Nat(1), Nat(1));
+        h.add_vertex("z");
+        assert_eq!(g, h);
+        h.add_vertex("y");
+        assert_ne!(g, h);
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! sequence number with one relaxed `fetch_add` and never block or
 //! allocate; the oldest records are overwritten when the ring wraps
 //! (`dropped = recorded − capacity`); readers reject torn records by
-//! sequence check. The record carries the op kind, the ambient
-//! workload label, a per-stage nanosecond breakdown derived from the
-//! op's own journal spans, flops, output nnz, lanes, the dispatch
-//! decision (serial/parallel + pool size), the fallback reason code,
-//! the scratch-memory high-water growth, the wall time, and the
+//! sequence check. The record carries the op kind, the opening
+//! thread's workload label, a per-stage nanosecond breakdown derived
+//! from the op's own journal spans, flops, output nnz, lanes, the
+//! dispatch decision (serial/parallel + pool size), the fallback reason
+//! code, the scratch-memory high-water growth, the wall time, and the
 //! journal sequence window `[seq_start, seq_end)`.
 //!
 //! On top of the ring, the ledger keeps per-op-kind tail histograms
@@ -114,6 +114,10 @@ fn alloc_op_id() -> u64 {
 
 thread_local! {
     static CURRENT_OP: Cell<u64> = const { Cell::new(0) };
+    /// The workload label id new ops opened on this thread are stamped
+    /// with (0 = unlabeled). Per thread, so concurrent workloads under
+    /// different labels never stamp each other's ops.
+    static CURRENT_LABEL: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The OpId currently installed on this thread (0 when none). The
@@ -150,11 +154,8 @@ fn label_table() -> &'static Mutex<Vec<String>> {
     TABLE.get_or_init(|| Mutex::new(vec![String::new()]))
 }
 
-/// The ambient label id new ops are stamped with (0 = unlabeled).
-static CURRENT_LABEL: AtomicU64 = AtomicU64::new(0);
-
-/// Intern `label` (returning its stable id) without changing the
-/// ambient label. Ids are assigned in first-seen order; id 0 is the
+/// Intern `label` (returning its stable id) without changing this
+/// thread's label. Ids are assigned in first-seen order; id 0 is the
 /// empty/unlabeled entry.
 pub fn intern_label(label: &str) -> u64 {
     let mut t = label_table().lock().unwrap_or_else(|e| e.into_inner());
@@ -165,23 +166,23 @@ pub fn intern_label(label: &str) -> u64 {
     (t.len() - 1) as u64
 }
 
-/// RAII guard restoring the previous ambient workload label on drop.
+/// RAII guard restoring this thread's previous workload label on drop.
 pub struct LabelScope {
     prev: u64,
 }
 
-/// Intern `label` and install it as the ambient workload label every
-/// subsequently opened op is stamped with, until the guard drops.
-/// Labels are user-influenced strings; exporters escape them.
+/// Intern `label` and install it as the workload label every op
+/// subsequently opened on this thread is stamped with, until the guard
+/// drops. Labels are user-influenced strings; exporters escape them.
 pub fn workload_label(label: &str) -> LabelScope {
     let id = intern_label(label);
-    let prev = CURRENT_LABEL.swap(id, Ordering::Relaxed);
+    let prev = CURRENT_LABEL.with(|c| c.replace(id));
     LabelScope { prev }
 }
 
 impl Drop for LabelScope {
     fn drop(&mut self) {
-        CURRENT_LABEL.store(self.prev, Ordering::Relaxed);
+        CURRENT_LABEL.with(|c| c.set(self.prev));
     }
 }
 
@@ -857,7 +858,7 @@ impl OpToken {
         let id = alloc_op_id();
         let mut draft = OpDraft::new(kind);
         draft.id = id;
-        draft.label = CURRENT_LABEL.load(Ordering::Relaxed);
+        draft.label = CURRENT_LABEL.with(Cell::get);
         draft.seq_start = journal().cursor();
         OpToken {
             draft,
@@ -1130,7 +1131,7 @@ mod tests {
         assert_eq!(intern_label("oplog-test-label"), id);
         {
             let _s = workload_label("oplog-test-label");
-            assert_eq!(CURRENT_LABEL.load(Ordering::Relaxed), id);
+            assert_eq!(CURRENT_LABEL.with(Cell::get), id);
             let log = OpLog::with_capacity(4);
             let tok = OpToken::begin(OpKind::Matmul);
             tok.finish_into(&log);
@@ -1138,6 +1139,38 @@ mod tests {
             assert_eq!(snap.records.len(), 1);
             assert_eq!(snap.label_name(snap.records[0].label), "oplog-test-label");
         }
+    }
+
+    #[test]
+    fn concurrent_labels_stamp_only_their_own_thread() {
+        // Both threads hold their label scopes open across the barrier,
+        // so a label shared by the process would stamp one thread's ops
+        // with the other's label and break the per-label parity below.
+        const OPS: usize = 50;
+        let log = OpLog::with_capacity(4 * OPS);
+        let ready = std::sync::Barrier::new(2);
+        let done = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for name in ["oplog-label-left", "oplog-label-right"] {
+                let (log, ready, done) = (&log, &ready, &done);
+                s.spawn(move || {
+                    let _scope = workload_label(name);
+                    ready.wait();
+                    for _ in 0..OPS {
+                        OpToken::begin(OpKind::Kernel).finish_into(log);
+                    }
+                    done.wait();
+                    let snap = log.snapshot();
+                    let mine = snap
+                        .records
+                        .iter()
+                        .filter(|r| snap.label_name(r.label) == name)
+                        .count();
+                    assert_eq!(mine, OPS, "ops stamped {name}");
+                });
+            }
+        });
+        assert_eq!(log.snapshot().records.len(), 2 * OPS);
     }
 
     #[test]

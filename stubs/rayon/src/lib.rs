@@ -350,7 +350,19 @@ impl Registry {
 
 impl Drop for Registry {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Store under `tickets`: a worker checks `shutdown` and then
+        // waits while holding that mutex, so an unlocked store could
+        // land between its check and its wait and the wake-up be lost.
+        // A poisoned lock is taken anyway: the counter stays valid, and
+        // a panic in `drop` would abort an unwind.
+        {
+            let _t = self
+                .shared
+                .tickets
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.cond.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -1007,5 +1019,23 @@ mod tests {
         let mut seen = log.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0..500).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn build_and_drop_never_loses_the_shutdown_wakeup() {
+        // Dropping a pool right after building it races the workers'
+        // first trip to sleep. A lost shutdown wake-up hangs the drop's
+        // join, so the loop runs on a helper thread under a deadline
+        // (and is left detached if it hangs).
+        let (tx, rx) = std::sync::mpsc::channel();
+        let hammer = std::thread::spawn(move || {
+            for _ in 0..2000 {
+                drop(pool(4));
+            }
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a pool drop hung: a worker missed the shutdown wake-up");
+        hammer.join().unwrap();
     }
 }
