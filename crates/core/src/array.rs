@@ -122,6 +122,12 @@ impl<V: Value> AArray<V> {
         }
     }
 
+    /// Take the key sets and storage apart, the inverse of
+    /// [`AArray::from_parts`].
+    pub(crate) fn into_parts(self) -> (KeySet, KeySet, Csr<V>) {
+        (self.row_keys, self.col_keys, self.data)
+    }
+
     /// An array with the given keys and no stored entries.
     pub fn empty(row_keys: KeySet, col_keys: KeySet) -> Self {
         let data = Csr::empty(row_keys.len(), col_keys.len());

@@ -55,9 +55,9 @@ impl<V: Value> AArray<V> {
     }
 
     /// [`AArray::ewise_add`] over an object-safe pair, for callers
-    /// holding runtime lane collections — the incremental adjacency
-    /// layer folds `A ⊕ ΔA` per lane through this. Same union
-    /// alignment, same merge, bit-identical to the typed entry point.
+    /// holding runtime lane collections. Same union alignment, same
+    /// merge, bit-identical to the typed entry point; the incremental
+    /// adjacency layer's row splice reproduces it for `lane ⊕ delta`.
     pub fn ewise_add_dyn(&self, other: &AArray<V>, pair: &dyn DynOpPair<V>) -> AArray<V> {
         let rows = self.row_keys().union(other.row_keys());
         let cols = self.col_keys().union(other.col_keys());

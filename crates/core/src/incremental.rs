@@ -11,8 +11,28 @@
 //! rejected), so both cross products are structurally empty. What
 //! remains is one batch-local product per `⊕.⊗` lane —
 //! [`aarray_sparse::spgemm_delta::spgemm_delta`] computes all lanes in
-//! a single fused traversal — followed by one union `⊕`-merge per lane
-//! ([`AArray::ewise_add_dyn`]), which also grows the vertex key sets.
+//! a single fused traversal — folded into each cached lane by a row
+//! splice.
+//!
+//! # What a batch costs
+//!
+//! Work is proportional to the batch plus at most one column remap:
+//!
+//! * **Append.** An ordered batch (keys after every existing edge key)
+//!   extends `Eout`/`Ein` in place: the edge-key union concatenates
+//!   ids, existing column indices are remapped through a `u32` map only
+//!   when the batch brings new vertices, and the batch rows are pushed
+//!   at the tail. An out-of-order batch interleaves through the same
+//!   splice refresh uses, which never needs `⊕` there because the
+//!   operands' rows are disjoint.
+//! * **Refresh.** Per batch, the union vertex key sets and the position
+//!   maps of the lane and of the delta are computed once and shared by
+//!   every lane (so are the key handles, and with them the lazily
+//!   materialized key strings). Rows the delta does not touch are
+//!   copied as slices, columns remapped only when the vertex set grew;
+//!   touched rows merge in ascending column with `old ⊕ new` — the
+//!   operand order of [`AArray::ewise_add_dyn`]`(lane, delta)`, so the
+//!   splice is bit-identical to that union merge.
 //!
 //! # When the incremental result is bit-identical
 //!
@@ -56,6 +76,7 @@
 use crate::array::AArray;
 use crate::incidence::adjacency_plan;
 use crate::keys::KeySet;
+use crate::matmul::{parallel_flops_threshold, would_parallelize};
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
 use aarray_obs::{
@@ -211,11 +232,11 @@ impl<V: Value> IncidenceBuilder<V> {
             }
         }
 
+        // Ordered batch keys sort after every existing key, so the union
+        // concatenates ids and the batch rows go at the tail.
         let edge_keys = old_keys.union(batch_keys);
-        let out_cols = self.eout.col_keys().union(d_out.col_keys());
-        let in_cols = self.ein.col_keys().union(d_in.col_keys());
-        self.eout = extend_into(&self.eout, &d_out, &edge_keys, &out_cols);
-        self.ein = extend_into(&self.ein, &d_in, &edge_keys, &in_cols);
+        extend_rows(&mut self.eout, &d_out, &edge_keys, ordered);
+        extend_rows(&mut self.ein, &d_in, &edge_keys, ordered);
 
         let n_batch_edges = batch_keys.len() as u64;
         counters().incr(Counter::IncrementalBatches);
@@ -250,47 +271,206 @@ impl<V: Value> IncidenceBuilder<V> {
     }
 }
 
-/// Merge a cumulative array with a row-disjoint batch into the given
-/// (union) key sets. Entries of the two operands occupy disjoint rows,
-/// so the combined coordinate set is duplicate-free and no `⊕` is
-/// needed — this is pure re-indexing.
-fn extend_into<V: Value>(a: &AArray<V>, b: &AArray<V>, rows: &KeySet, cols: &KeySet) -> AArray<V> {
-    // Position maps from each operand's key sets into the union are
-    // strictly increasing, and the operands occupy disjoint rows, so
-    // every destination row is one (possibly empty) source row with its
-    // columns remapped — the union CSR is assembled directly, with no
-    // COO staging and no sort.
-    let row_map_a = rows.positions_of(a.row_keys());
-    let row_map_b = rows.positions_of(b.row_keys());
-    let col_map_a = cols.positions_of(a.col_keys());
-    let col_map_b = cols.positions_of(b.col_keys());
-    let mut src: Vec<Option<(bool, usize)>> = vec![None; rows.len()];
-    for (i, &d) in row_map_a.iter().enumerate() {
-        src[d] = Some((false, i));
-    }
-    for (i, &d) in row_map_b.iter().enumerate() {
-        src[d] = Some((true, i));
-    }
-    let nnz = a.nnz() + b.nnz();
-    let mut indptr = Vec::with_capacity(rows.len() + 1);
-    indptr.push(0usize);
-    let mut indices = Vec::with_capacity(nnz);
-    let mut values = Vec::with_capacity(nnz);
-    for slot in &src {
-        if let Some((from_b, r)) = *slot {
-            let (csr, col_map) = if from_b {
-                (b.csr(), &col_map_b)
-            } else {
-                (a.csr(), &col_map_a)
-            };
-            let (ci, vals) = csr.row(r);
-            indices.extend(ci.iter().map(|&c| col_map[c as usize] as u32));
-            values.extend(vals.iter().cloned());
+/// Grow `array` by the rows of a row-disjoint `batch`, over the union
+/// edge keys `rows`. An ordered batch (keys after every existing one)
+/// extends the CSR in place: existing column indices are remapped only
+/// when the batch brings new vertices, then the batch rows are pushed
+/// at the tail. An out-of-order batch interleaves through [`splice`].
+fn extend_rows<V: Value>(array: &mut AArray<V>, batch: &AArray<V>, rows: &KeySet, ordered: bool) {
+    let cols = array.col_keys().union(batch.col_keys());
+    let shape = (rows.len(), cols.len());
+    let data = if ordered {
+        let empty = AArray::empty(KeySet::empty(), KeySet::empty());
+        let (_, old_cols, csr) = std::mem::replace(array, empty).into_parts();
+        let (_, _, indptr, mut indices, values) = csr.into_parts();
+        if let Some(map) = col_map(&cols, &old_cols) {
+            for c in &mut indices {
+                *c = map[*c as usize];
+            }
         }
-        indptr.push(indices.len());
+        let mut out = CsrBuf {
+            indptr,
+            indices,
+            values,
+        };
+        let map = col_map(&cols, batch.col_keys());
+        out.copy_rows(batch.csr(), 0, batch.csr().nrows(), map.as_deref());
+        Csr::from_parts(shape.0, shape.1, out.indptr, out.indices, out.values)
+    } else {
+        let old = Placement::new(rows, &cols, array.row_keys(), array.col_keys());
+        let new = Placement::new(rows, &cols, batch.row_keys(), batch.col_keys());
+        splice((array.csr(), &old), (batch.csr(), &new), shape, None)
+    };
+    *array = AArray::from_parts(rows.clone(), cols, data);
+}
+
+/// Where one operand's rows and columns land in (union) target key
+/// sets. `None` is the identity: the operand already has the target's
+/// keys on that side.
+struct Placement {
+    rows: Option<Vec<usize>>,
+    cols: Option<Vec<u32>>,
+}
+
+impl Placement {
+    /// Place an array keyed by `rows × cols` into the supersets
+    /// `to_rows × to_cols`.
+    fn new(to_rows: &KeySet, to_cols: &KeySet, rows: &KeySet, cols: &KeySet) -> Placement {
+        Placement {
+            rows: (rows.len() != to_rows.len()).then(|| to_rows.positions_of(rows)),
+            cols: col_map(to_cols, cols),
+        }
     }
-    let data = Csr::from_parts(rows.len(), cols.len(), indptr, indices, values);
-    AArray::from_parts(rows.clone(), cols.clone(), data)
+
+    /// Target row of source row `r` of `n`, or `usize::MAX` past the
+    /// last one.
+    fn row(&self, r: usize, n: usize) -> usize {
+        match &self.rows {
+            _ if r >= n => usize::MAX,
+            None => r,
+            Some(m) => m[r],
+        }
+    }
+
+    /// End of the run of source rows from `r` (of `n`) that land before
+    /// target row `before`.
+    fn run_end(&self, r: usize, n: usize, before: usize) -> usize {
+        match &self.rows {
+            None => before.min(n),
+            Some(m) => r + m[r..].partition_point(|&t| t < before),
+        }
+    }
+}
+
+/// Positions of `cols` in its superset `to`, as CSR column indices, or
+/// `None` when the two sets are equal.
+fn col_map(to: &KeySet, cols: &KeySet) -> Option<Vec<u32>> {
+    (cols.len() != to.len()).then(|| {
+        to.positions_of(cols)
+            .into_iter()
+            .map(|p| p as u32)
+            .collect()
+    })
+}
+
+/// Append source entries to CSR buffers, remapping their columns.
+fn push_entries<V: Value>(
+    indices: &mut Vec<u32>,
+    values: &mut Vec<V>,
+    (cols, vals): (&[u32], &[V]),
+    map: Option<&[u32]>,
+) {
+    match map {
+        None => indices.extend_from_slice(cols),
+        Some(m) => indices.extend(cols.iter().map(|&c| m[c as usize])),
+    }
+    values.extend_from_slice(vals);
+}
+
+/// CSR buffers under construction.
+struct CsrBuf<V> {
+    indptr: Vec<usize>,
+    indices: Vec<u32>,
+    values: Vec<V>,
+}
+
+impl<V: Value> CsrBuf<V> {
+    /// Append the source rows `lo..hi` of `src` as consecutive target
+    /// rows: one bulk copy of their entries, columns remapped through
+    /// `map`.
+    fn copy_rows(&mut self, src: &Csr<V>, lo: usize, hi: usize, map: Option<&[u32]>) {
+        let ptr = src.indptr();
+        let (start, end) = (ptr[lo], ptr[hi]);
+        let base = self.indices.len();
+        push_entries(
+            &mut self.indices,
+            &mut self.values,
+            (&src.indices()[start..end], &src.values()[start..end]),
+            map,
+        );
+        self.indptr
+            .extend(ptr[lo + 1..=hi].iter().map(|&p| p - start + base));
+    }
+}
+
+/// The one merge primitive of the incremental layer: the union of two
+/// placed operands `a` and `b` as a `shape` CSR whose rows are exactly
+/// the union of theirs.
+///
+/// Runs of rows only one operand stores are copied in bulk, columns
+/// remapped through its placement. Rows both store are merged in
+/// ascending target column, with `a ⊕ b` on common columns and the
+/// result pruned if it is the pair's zero — the operand order and
+/// pruning of [`AArray::ewise_add_dyn`]`(a, b)`, so a lane refresh is
+/// bit-identical to that union merge. Operands must store no zeros
+/// (adjacency lanes and deltas never do), which is what lets copied
+/// entries skip the check. `plus` is `None` for row-disjoint operands
+/// (incidence appends), where no row can need it.
+fn splice<V: Value>(
+    (a, pa): (&Csr<V>, &Placement),
+    (b, pb): (&Csr<V>, &Placement),
+    (nrows, ncols): (usize, usize),
+    plus: Option<&dyn DynOpPair<V>>,
+) -> Csr<V> {
+    let (ma, mb) = (pa.cols.as_deref(), pb.cols.as_deref());
+    let (na, nb) = (a.nrows(), b.nrows());
+    let nnz = a.nnz() + b.nnz();
+    let mut out = CsrBuf {
+        indptr: Vec::with_capacity(nrows + 1),
+        indices: Vec::with_capacity(nnz),
+        values: Vec::with_capacity(nnz),
+    };
+    out.indptr.push(0);
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < na || j < nb {
+        let (ra, rb) = (pa.row(i, na), pb.row(j, nb));
+        if ra < rb {
+            let end = pa.run_end(i, na, rb);
+            out.copy_rows(a, i, end, ma);
+            i = end;
+        } else if rb < ra {
+            let end = pb.run_end(j, nb, ra);
+            out.copy_rows(b, j, end, mb);
+            j = end;
+        } else {
+            let pair = plus.expect("splice: row-disjoint operands share a row");
+            let ((ac, av), (bc, bv)) = (a.row(i), b.row(j));
+            let at = |x: usize| ma.map_or(ac[x], |m| m[ac[x] as usize]);
+            let bt = |y: usize| mb.map_or(bc[y], |m| m[bc[y] as usize]);
+            let (mut x, mut y) = (0usize, 0usize);
+            while x < ac.len() && y < bc.len() {
+                let (ca, cb) = (at(x), bt(y));
+                if ca < cb {
+                    out.indices.push(ca);
+                    out.values.push(av[x].clone());
+                    x += 1;
+                } else if cb < ca {
+                    out.indices.push(cb);
+                    out.values.push(bv[y].clone());
+                    y += 1;
+                } else {
+                    let v = pair.plus(&av[x], &bv[y]);
+                    if !pair.is_zero(&v) {
+                        out.indices.push(ca);
+                        out.values.push(v);
+                    }
+                    x += 1;
+                    y += 1;
+                }
+            }
+            push_entries(&mut out.indices, &mut out.values, (&ac[x..], &av[x..]), ma);
+            push_entries(&mut out.indices, &mut out.values, (&bc[y..], &bv[y..]), mb);
+            out.indptr.push(out.indices.len());
+            i += 1;
+            j += 1;
+        }
+    }
+    assert_eq!(
+        out.indptr.len(),
+        nrows + 1,
+        "splice: target rows must be the union of the operands' rows"
+    );
+    Csr::from_parts(nrows, ncols, out.indptr, out.indices, out.values)
 }
 
 /// How one [`AdjacencyView::refresh`] brought the view current.
@@ -371,8 +551,9 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
     ///
     /// Lanes whose `⊕` is associative ([`DynOpPair::plus_associative`])
     /// replay the pending ordered batches: one fused
-    /// [`spgemm_delta`] traversal per batch feeding those lanes, then a
-    /// union `⊕`-merge per lane ([`Counter::IncrementalApply`],
+    /// [`spgemm_delta`] traversal per batch feeding those lanes (serial
+    /// or row-parallel by the planner's flops gate), then a row splice
+    /// of the delta into each lane ([`Counter::IncrementalApply`],
     /// [`Hist::DeltaApplyNs`]). All other lanes — non-associative `⊕`,
     /// or any refresh crossing an out-of-order batch — are recomputed
     /// from the cumulative incidence in one fused rebuild traversal
@@ -405,14 +586,32 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
             journal().begin(Stage::DeltaApply, inc_idx.len() as u64);
             for (d_out, d_in) in batches {
                 let t0 = Instant::now();
-                let delta_csrs = spgemm_delta(d_out.csr(), d_in.csr(), &inc_pairs, self.acc);
-                for (&lane, delta_csr) in inc_idx.iter().zip(delta_csrs) {
-                    let delta = AArray::from_parts(
-                        d_out.col_keys().clone(),
-                        d_in.col_keys().clone(),
-                        delta_csr,
+                let parallel = would_parallelize(
+                    delta_flops(d_out.csr(), d_in.csr()),
+                    parallel_flops_threshold(),
+                    rayon::current_num_threads(),
+                );
+                let delta_csrs =
+                    spgemm_delta(d_out.csr(), d_in.csr(), &inc_pairs, self.acc, parallel);
+                // Every lane has the same vertex key sets, so the union
+                // keys and both placements are computed once per batch
+                // and the key handles are shared by all lanes.
+                let (rows, cols, old, new) = {
+                    let lane = &self.lanes[inc_idx[0]];
+                    let rows = lane.row_keys().union(d_out.col_keys());
+                    let cols = lane.col_keys().union(d_in.col_keys());
+                    let old = Placement::new(&rows, &cols, lane.row_keys(), lane.col_keys());
+                    let new = Placement::new(&rows, &cols, d_out.col_keys(), d_in.col_keys());
+                    (rows, cols, old, new)
+                };
+                for (&lane, delta) in inc_idx.iter().zip(delta_csrs) {
+                    let csr = splice(
+                        (self.lanes[lane].csr(), &old),
+                        (&delta, &new),
+                        (rows.len(), cols.len()),
+                        Some(self.pairs[lane]),
                     );
-                    self.lanes[lane] = self.lanes[lane].ewise_add_dyn(&delta, self.pairs[lane]);
+                    self.lanes[lane] = AArray::from_parts(rows.clone(), cols.clone(), csr);
                 }
                 histograms().record(Hist::DeltaApplyNs, t0.elapsed().as_nanos() as u64);
                 report.batches_applied += 1;
@@ -467,6 +666,15 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
         self.generation = builder.generation();
         report
     }
+}
+
+/// The `⊗` terms of `ΔEoutᵀ ⊕.⊗ ΔEin`: each batch edge row pairs its
+/// out-entries with its in-entries. The same estimate the planner's
+/// dispatch gate reads, without materializing the transpose.
+fn delta_flops<V: Value>(d_out: &Csr<V>, d_in: &Csr<V>) -> u64 {
+    (0..d_out.nrows())
+        .map(|k| (d_out.row_nnz(k) * d_in.row_nnz(k)) as u64)
+        .sum()
 }
 
 /// Full `Eᵀout ⊕.⊗ Ein` for the given lanes in one fused traversal,
@@ -549,6 +757,43 @@ mod tests {
         let d = snapshot().since(&before);
         assert!(d.get(Counter::IncrementalBatches) >= 1);
         assert!(d.get(Counter::IncrementalEdges) >= 3);
+    }
+
+    #[test]
+    fn splice_matches_ewise_add_dyn_under_vertex_growth() {
+        let ptn = pt();
+        let mm = MaxMin::<Nat>::new();
+        let lane = AArray::from_triples(
+            &ptn,
+            [
+                ("a", "x", Nat(3)),
+                ("a", "z", Nat(1)),
+                ("c", "y", Nat(2)),
+                ("d", "x", Nat(5)),
+            ],
+        );
+        let growing = AArray::from_triples(
+            &ptn,
+            [
+                ("a", "z", Nat(4)),
+                ("a", "w", Nat(1)),
+                ("b", "x", Nat(7)),
+                ("d", "y", Nat(2)),
+            ],
+        );
+        let within = AArray::from_triples(&ptn, [("a", "x", Nat(9)), ("d", "x", Nat(1))]);
+        for delta in [&growing, &within] {
+            for pair in [&ptn as &dyn DynOpPair<Nat>, &mm] {
+                let rows = lane.row_keys().union(delta.row_keys());
+                let cols = lane.col_keys().union(delta.col_keys());
+                let old = Placement::new(&rows, &cols, lane.row_keys(), lane.col_keys());
+                let new = Placement::new(&rows, &cols, delta.row_keys(), delta.col_keys());
+                let shape = (rows.len(), cols.len());
+                let csr = splice((lane.csr(), &old), (delta.csr(), &new), shape, Some(pair));
+                let got = AArray::from_parts(rows, cols, csr);
+                assert_eq!(got, lane.ewise_add_dyn(delta, pair));
+            }
+        }
     }
 
     #[test]

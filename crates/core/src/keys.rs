@@ -222,7 +222,10 @@ pub struct KeySet {
     /// Member ids, ascending by dictionary rank.
     ids: Arc<[u32]>,
     /// Lazily-materialized strings, ascending (same order as `ids`).
-    strings: OnceLock<Arc<[String]>>,
+    /// Shared by every clone of the handle, so a key set cloned into
+    /// many arrays materializes its strings once, whichever clone asks
+    /// first.
+    strings: Arc<OnceLock<Vec<String>>>,
 }
 
 /// Alias naming the post-interning representation explicitly, for call
@@ -246,8 +249,8 @@ impl Drop for KeySet {
         // (Concurrent last-drops can both observe count > 1 and skip
         // the free — the accounting is deliberately approximate, see
         // `aarray_obs::memstats`.)
-        if let Some(cache) = self.strings.get() {
-            if Arc::strong_count(cache) == 1 {
+        if Arc::strong_count(&self.strings) == 1 {
+            if let Some(cache) = self.strings.get() {
                 memstats().free(MemRegion::KeySetInterned, keys_heap_bytes(cache));
             }
         }
@@ -282,12 +285,10 @@ impl KeySet {
     fn from_vec(dict: Arc<KeyDict>, keys: Vec<String>) -> Self {
         let ids = dict.intern_sorted(&keys);
         memstats().alloc(MemRegion::KeySetInterned, keys_heap_bytes(&keys));
-        let strings = OnceLock::new();
-        let _ = strings.set(Arc::from(keys));
         KeySet {
             dict,
             ids: ids.into(),
-            strings,
+            strings: Arc::new(OnceLock::from(keys)),
         }
     }
 
@@ -298,8 +299,24 @@ impl KeySet {
         KeySet {
             dict,
             ids: ids.into(),
-            strings: OnceLock::new(),
+            strings: Arc::default(),
         }
+    }
+
+    /// The members at `positions` (ascending positions in `self`), as a
+    /// key set sharing `self`'s dictionary: the ids are copied, no
+    /// string is materialized or re-interned. Selecting every position
+    /// returns `self`'s handle.
+    pub(crate) fn subset(&self, positions: &[usize]) -> KeySet {
+        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
+        if positions.len() == self.len() {
+            return self.clone();
+        }
+        let ids = match (positions.first(), positions.last()) {
+            (Some(&lo), Some(&hi)) if hi - lo + 1 == positions.len() => self.ids[lo..=hi].to_vec(),
+            _ => positions.iter().map(|&i| self.ids[i]).collect(),
+        };
+        KeySet::from_ids(self.dict.clone(), ids)
     }
 
     /// Build from any iterator of keys: sorted, deduplicated, and
@@ -388,7 +405,7 @@ impl KeySet {
         self.strings.get_or_init(|| {
             let v = self.dict.resolve(&self.ids);
             memstats().alloc(MemRegion::KeySetInterned, keys_heap_bytes(&v));
-            Arc::from(v)
+            v
         })
     }
 
@@ -515,51 +532,45 @@ impl KeySet {
 
     /// Union with another key set.
     ///
-    /// Same-dictionary unions run as integer rank merges, and when one
-    /// side already contains the other the *original handle* is
-    /// returned (`Arc`-identity preserved) — which is what lets
+    /// Same-dictionary unions run in integer space, and when one side
+    /// already contains the other the *original handle* is returned
+    /// (`Arc`-identity preserved) — which is what lets
     /// repeatedly-grown incidence arrays keep sharing one edge key set
-    /// and their multiplication plans align in O(1).
+    /// and their multiplication plans align in O(1). Sets whose rank
+    /// ranges do not overlap (an appended batch of edge keys sorting
+    /// after every existing one) concatenate their ids with no merge
+    /// walk, mirroring [`KeySet::intersect`]'s disjoint-range path;
+    /// everything else takes an integer rank merge.
     pub fn union(&self, other: &KeySet) -> KeySet {
         if Arc::ptr_eq(&self.dict, &other.dict) {
-            if Arc::ptr_eq(&self.ids, &other.ids) {
+            if Arc::ptr_eq(&self.ids, &other.ids) || other.is_empty() {
                 return self.clone();
+            }
+            if self.is_empty() {
+                return other.clone();
             }
             let ranks = self.dict.ranks();
             let rank = |id: u32| ranks[id as usize];
-            let mut ids = Vec::with_capacity(self.len() + other.len());
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < self.len() || j < other.len() {
-                if j >= other.len() {
-                    ids.push(self.ids[i]);
-                    i += 1;
-                } else if i >= self.len() {
-                    ids.push(other.ids[j]);
-                    j += 1;
-                } else {
-                    let (a, b) = (self.ids[i], other.ids[j]);
-                    if a == b {
-                        ids.push(a);
-                        i += 1;
-                        j += 1;
-                    } else if rank(a) < rank(b) {
-                        ids.push(a);
-                        i += 1;
-                    } else {
-                        ids.push(b);
-                        j += 1;
-                    }
+            let (lo, hi) = if rank(self.ids[self.len() - 1]) < rank(other.ids[0]) {
+                (self, other)
+            } else if rank(other.ids[other.len() - 1]) < rank(self.ids[0]) {
+                (other, self)
+            } else {
+                let ids = self.merge_ids(other, &ranks);
+                // Subset unions return the superset handle itself so
+                // `Arc` identity (and every downstream identity fast
+                // path) survives.
+                if ids.len() == self.len() {
+                    return self.clone();
                 }
-            }
-            // Subset unions return the superset handle itself so `Arc`
-            // identity (and every downstream identity fast path)
-            // survives.
-            if ids.len() == self.len() {
-                return self.clone();
-            }
-            if ids.len() == other.len() {
-                return other.clone();
-            }
+                if ids.len() == other.len() {
+                    return other.clone();
+                }
+                return KeySet::from_ids(self.dict.clone(), ids);
+            };
+            let mut ids = Vec::with_capacity(self.len() + other.len());
+            ids.extend_from_slice(&lo.ids);
+            ids.extend_from_slice(&hi.ids);
             return KeySet::from_ids(self.dict.clone(), ids);
         }
         // Cross-dictionary: merge strings, interning the result into
@@ -581,6 +592,31 @@ impl KeySet {
             }
         }
         KeySet::from_vec(self.dict.clone(), keys)
+    }
+
+    /// The rank-merge walk behind [`KeySet::union`]: the ids of both
+    /// same-dictionary sets, ascending by rank, each common id once.
+    fn merge_ids(&self, other: &KeySet, ranks: &[u32]) -> Vec<u32> {
+        let rank = |id: u32| ranks[id as usize];
+        let mut ids = Vec::with_capacity(self.len() + other.len());
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < self.len() && j < other.len() {
+            let (a, b) = (self.ids[i], other.ids[j]);
+            if a == b {
+                ids.push(a);
+                i += 1;
+                j += 1;
+            } else if rank(a) < rank(b) {
+                ids.push(a);
+                i += 1;
+            } else {
+                ids.push(b);
+                j += 1;
+            }
+        }
+        ids.extend_from_slice(&self.ids[i..]);
+        ids.extend_from_slice(&other.ids[j..]);
+        ids
     }
 
     /// For every position in `from`, the position of the same key in
@@ -1004,6 +1040,52 @@ mod tests {
         let a = KeySet::from_iter(["a", "c"]);
         let b = KeySet::from_iter(["b", "c"]);
         assert_eq!(a.union(&b).keys(), &["a", "b", "c"]);
+    }
+
+    #[test]
+    fn union_concatenation_equals_merge_walk() {
+        let old = KeySet::from_iter(["e01", "e02", "e05"]);
+        let batch = KeySet::from_iter(["e07", "e09"]);
+        let overlapping = KeySet::from_iter(["e02", "e03", "e08"]);
+        let ranks = KeyDict::global().ranks();
+        for (a, b) in [(&old, &batch), (&batch, &old), (&old, &overlapping)] {
+            let u = a.union(b);
+            assert_eq!(u.ids(), &a.merge_ids(b, &ranks)[..]);
+            assert!(u.keys().windows(2).all(|w| w[0] < w[1]));
+        }
+        assert_eq!(
+            old.union(&batch).keys(),
+            &["e01", "e02", "e05", "e07", "e09"]
+        );
+        assert_eq!(batch.union(&KeySet::empty()), batch);
+        assert_eq!(KeySet::empty().union(&batch), batch);
+    }
+
+    #[test]
+    fn shared_handles_share_one_string_cache() {
+        let a = KeySet::from_iter(["s1", "s2"]);
+        let fresh = a.union(&KeySet::from_iter(["s3"]));
+        let clone = fresh.clone();
+        assert!(
+            clone.strings.get().is_none(),
+            "set algebra stays string-free"
+        );
+        assert_eq!(fresh.keys(), &["s1", "s2", "s3"]);
+        assert!(
+            clone.strings.get().is_some(),
+            "one materialization serves every clone"
+        );
+    }
+
+    #[test]
+    fn subset_copies_ids_without_strings() {
+        let ks = KeySet::from_iter(["k1", "k2", "k3", "k4"]);
+        let mid = ks.subset(&[1, 2]);
+        assert!(mid.strings.get().is_none());
+        assert_eq!(mid.keys(), &["k2", "k3"]);
+        assert_eq!(ks.subset(&[0, 3]).keys(), &["k1", "k4"]);
+        assert!(ks.subset(&[]).is_empty());
+        assert!(Arc::ptr_eq(&ks.subset(&[0, 1, 2, 3]).ids, &ks.ids));
     }
 
     #[test]

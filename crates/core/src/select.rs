@@ -4,6 +4,29 @@
 use crate::array::AArray;
 use crate::keys::{KeySelect, KeySet};
 use aarray_algebra::Value;
+use aarray_sparse::Csr;
+
+/// The positions `sel` keeps in `keys` (`None` for `:`, which keeps
+/// everything), and the kept keys as a set sharing `keys`' dictionary.
+fn select_keys(keys: &KeySet, sel: &KeySelect) -> (Option<Vec<usize>>, KeySet) {
+    match sel {
+        KeySelect::All => (None, keys.clone()),
+        sel => {
+            let idx = keys.select(sel);
+            let kept = keys.subset(&idx);
+            (Some(idx), kept)
+        }
+    }
+}
+
+/// Keep the (sorted, unique) columns `cols`: one range pass when they
+/// are contiguous, a remap pass otherwise.
+fn keep_cols<V: Value>(csr: &Csr<V>, cols: &[usize]) -> Csr<V> {
+    match (cols.first(), cols.last()) {
+        (Some(&lo), Some(&hi)) if hi - lo + 1 == cols.len() => csr.select_col_range(lo, hi + 1),
+        _ => csr.select_cols(cols),
+    }
+}
 
 impl<V: Value> AArray<V> {
     /// Select a sub-array by row and column selections. Matching keys
@@ -12,22 +35,20 @@ impl<V: Value> AArray<V> {
     /// kept even if all its entries fall outside the other selection —
     /// Figure 2's `E1` keeps all 22 track rows, including rows with no
     /// genre entry.
+    ///
+    /// The kept key sets are built from the source's ids (no string is
+    /// re-interned; `:` keeps the source handle), and the storage is
+    /// filtered in one pass per selected side.
     pub fn select(&self, rows: &KeySelect, cols: &KeySelect) -> AArray<V> {
-        let row_idx = self.row_keys().select(rows);
-        let col_idx = self.col_keys().select(cols);
-        let row_keys = KeySet::from_sorted_unique(
-            row_idx
-                .iter()
-                .map(|&i| self.row_keys().key(i).to_string())
-                .collect(),
-        );
-        let col_keys = KeySet::from_sorted_unique(
-            col_idx
-                .iter()
-                .map(|&i| self.col_keys().key(i).to_string())
-                .collect(),
-        );
-        let data = self.csr().select_rows(&row_idx).select_cols(&col_idx);
+        let (row_idx, row_keys) = select_keys(self.row_keys(), rows);
+        let (col_idx, col_keys) = select_keys(self.col_keys(), cols);
+        let csr = self.csr();
+        let data = match (row_idx, col_idx) {
+            (None, None) => csr.clone(),
+            (Some(r), None) => csr.select_rows(&r),
+            (None, Some(c)) => keep_cols(csr, &c),
+            (Some(r), Some(c)) => keep_cols(&csr.select_rows(&r), &c),
+        };
         AArray::from_parts(row_keys, col_keys, data)
     }
 
@@ -114,6 +135,21 @@ mod tests {
         );
         assert_eq!(sub.shape(), (2, 2));
         assert_eq!(sub.nnz(), 2);
+    }
+
+    #[test]
+    fn scattered_column_selection_and_empty_ranges() {
+        let e = music_like();
+        let sub = e.select(
+            &KeySelect::All,
+            &KeySelect::List(vec!["Genre|Pop".into(), "Label|Free".into()]),
+        );
+        assert_eq!(sub.col_keys().keys(), &["Genre|Pop", "Label|Free"]);
+        assert_eq!(sub.nnz(), 2);
+        assert_eq!(sub.get("track3", "Label|Free"), Some(&Nat(1)));
+        let none = e.select_cols_str("Zzz|A : Zzz|Z");
+        assert_eq!(none.shape(), (3, 0));
+        assert_eq!(none.nnz(), 0);
     }
 
     #[test]

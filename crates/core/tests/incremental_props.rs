@@ -1,12 +1,14 @@
 //! Property-based tests for incremental adjacency maintenance and the
-//! `KeySet::intersect` fast paths.
+//! `KeySet::intersect` / `KeySet::union` fast paths.
 //!
 //! Random incidence pairs are cut at random row points and replayed
 //! through [`IncidenceBuilder`] / [`AdjacencyView`]; for every one of
 //! the paper's seven `⊕.⊗` pairs the refreshed lanes must equal the
 //! one-shot batch rebuild — bit-identically on the ⊕-associative
 //! pairs' delta path, and via the counted full-rebuild fallback for
-//! `+.×` over NN (float `+` is not associative).
+//! `+.×` over NN (float `+` is not associative). Each block carries only
+//! the vertices its own rows touch, so appends and refreshes keep
+//! growing the vertex key sets and the column-remap paths are fuzzed.
 
 use aarray_algebra::pairs::{MaxMin, MaxPlus, MaxTimes, MinMax, MinPlus, MinTimes, PlusTimes};
 use aarray_algebra::values::nn::{nn, NN};
@@ -25,6 +27,9 @@ fn vert_key(i: usize) -> String {
     format!("v{:03}", i)
 }
 
+/// Vertices the random incidence triples draw from.
+const N_VERTS: usize = 12;
+
 /// A random incidence pair over `n` edges plus random interior row
 /// cuts: `(n, eout_triples, ein_triples, cuts)`.
 type Spec = (
@@ -38,8 +43,8 @@ fn arb_spec() -> impl Strategy<Value = Spec> {
     (4usize..16).prop_flat_map(|n| {
         (
             Just(n),
-            prop::collection::vec((0..n, 0..6usize, 1u32..9), 1..48),
-            prop::collection::vec((0..n, 0..6usize, 1u32..9), 1..48),
+            prop::collection::vec((0..n, 0..N_VERTS, 1u32..9), 1..48),
+            prop::collection::vec((0..n, 0..N_VERTS, 1u32..9), 1..48),
             prop::collection::vec(1..n, 0..4),
         )
     })
@@ -47,17 +52,20 @@ fn arb_spec() -> impl Strategy<Value = Spec> {
 
 /// The rows `lo..hi` of an incidence side, with the row range kept as
 /// explicit keys (a row may have entries on one side only — both
-/// blocks of a pair must still agree on their edge keys).
-fn block(triples: &[(usize, usize, u32)], lo: usize, hi: usize, n_cols: usize) -> AArray<NN> {
+/// blocks of a pair must still agree on their edge keys) and only the
+/// vertices those rows touch as columns.
+fn block(triples: &[(usize, usize, u32)], lo: usize, hi: usize) -> AArray<NN> {
     let pt = PlusTimes::<NN>::new();
+    let rows: Vec<&(usize, usize, u32)> = triples
+        .iter()
+        .filter(|(r, _, _)| (lo..hi).contains(r))
+        .collect();
     AArray::from_triples_with_keys(
         &pt,
         KeySet::from_iter((lo..hi).map(edge_key)),
-        KeySet::from_iter((0..n_cols).map(vert_key)),
-        triples
-            .iter()
-            .filter(|(r, _, _)| (lo..hi).contains(r))
-            .map(|&(r, c, w)| (edge_key(r), vert_key(c), nn(f64::from(w) * 0.5))),
+        KeySet::from_iter(rows.iter().map(|&&(_, c, _)| vert_key(c))),
+        rows.iter()
+            .map(|&&(r, c, w)| (edge_key(r), vert_key(c), nn(f64::from(w) * 0.5))),
     )
 }
 
@@ -79,90 +87,117 @@ fn to_tropical(a: &AArray<NN>) -> AArray<Tropical> {
     a.map_prune(&MaxPlus::<Tropical>::new(), |v: &NN| trop(v.get()))
 }
 
-proptest! {
-    /// Ordered row splits: the five ⊕-associative NN lanes and the
-    /// tropical max.+ lane all take the delta path and land
-    /// bit-identically on the one-shot rebuild; +.× over NN degrades
-    /// to the counted fallback but must still agree.
-    #[test]
-    fn ordered_splits_match_one_shot_rebuild(spec in arb_spec()) {
-        let (n, out_t, in_t, cuts) = spec;
-        let b = bounds(n, &cuts);
+/// Replay `spec`'s chunks in order, refreshing after every append
+/// (`eager`) or once at the end, and check the five ⊕-associative NN
+/// lanes, the `+.×` fallback lane and the tropical `max.+` lane against
+/// the one-shot rebuild.
+fn ordered_replay_matches_rebuild(spec: &Spec, eager: bool) -> Result<(), String> {
+    let (n, out_t, in_t, cuts) = spec;
+    let (n, b) = (*n, bounds(*n, cuts));
 
-        let plus_times = PlusTimes::<NN>::new();
-        let max_times = MaxTimes::<NN>::new();
-        let min_times = MinTimes::<NN>::new();
-        let min_plus = MinPlus::<NN>::new();
-        let max_min = MaxMin::<NN>::new();
-        let min_max = MinMax::<NN>::new();
-        let pairs: [&dyn DynOpPair<NN>; 6] = [
-            &plus_times, &max_times, &min_times, &min_plus, &max_min, &min_max,
-        ];
+    let plus_times = PlusTimes::<NN>::new();
+    let max_times = MaxTimes::<NN>::new();
+    let min_times = MinTimes::<NN>::new();
+    let min_plus = MinPlus::<NN>::new();
+    let max_min = MaxMin::<NN>::new();
+    let min_max = MinMax::<NN>::new();
+    let pairs: [&dyn DynOpPair<NN>; 6] = [
+        &plus_times,
+        &max_times,
+        &min_times,
+        &min_plus,
+        &max_min,
+        &min_max,
+    ];
+    let mp = MaxPlus::<Tropical>::new();
 
-        let fallback_before =
-            aarray_obs::snapshot().get(aarray_obs::Counter::IncrementalFallback);
+    let fallback_before = aarray_obs::snapshot().get(aarray_obs::Counter::IncrementalFallback);
 
-        let mut builder = IncidenceBuilder::new(
-            block(&out_t, b[0], b[1], 6),
-            block(&in_t, b[0], b[1], 6),
-        ).unwrap();
-        let mut view = AdjacencyView::new(&builder, pairs.to_vec());
-        for w in b.windows(2).skip(1) {
-            let kind = builder
-                .append_batch(block(&out_t, w[0], w[1], 6), block(&in_t, w[0], w[1], 6))
-                .unwrap();
-            prop_assert_eq!(kind, BatchKind::Ordered);
-        }
-        let report = view.refresh(&builder);
-
-        let n_batches = b.len() - 2;
-        if n_batches > 0 {
+    let mut builder =
+        IncidenceBuilder::new(block(out_t, b[0], b[1]), block(in_t, b[0], b[1])).unwrap();
+    let mut view = AdjacencyView::new(&builder, pairs.to_vec());
+    let mut t_builder = IncidenceBuilder::new(
+        to_tropical(&block(out_t, b[0], b[1])),
+        to_tropical(&block(in_t, b[0], b[1])),
+    )
+    .unwrap();
+    let mut t_view = AdjacencyView::new(&t_builder, vec![&mp as &dyn DynOpPair<Tropical>]);
+    let (mut applied, mut t_applied) = (0, 0);
+    for w in b.windows(2).skip(1) {
+        let (d_out, d_in) = (block(out_t, w[0], w[1]), block(in_t, w[0], w[1]));
+        let (t_out, t_in) = (to_tropical(&d_out), to_tropical(&d_in));
+        prop_assert_eq!(
+            builder.append_batch(d_out, d_in).unwrap(),
+            BatchKind::Ordered
+        );
+        t_builder.append_batch(t_out, t_in).unwrap();
+        if eager {
+            let report = view.refresh(&builder);
             prop_assert_eq!(
-                (report.incremental_lanes, report.rebuilt_lanes, report.batches_applied),
-                (5, 1, n_batches)
+                (
+                    report.incremental_lanes,
+                    report.rebuilt_lanes,
+                    report.batches_applied
+                ),
+                (5, 1, 1)
             );
-            // The +.× fallback is counted (global counter: monotone,
-            // so ≥ is safe under concurrent tests).
-            let fallback_now =
-                aarray_obs::snapshot().get(aarray_obs::Counter::IncrementalFallback);
-            prop_assert!(fallback_now > fallback_before);
-        } else {
-            prop_assert!(!report.did_work());
+            applied += report.batches_applied;
+            let t_report = t_view.refresh(&t_builder);
+            prop_assert_eq!((t_report.incremental_lanes, t_report.rebuilt_lanes), (1, 0));
+            t_applied += t_report.batches_applied;
         }
+    }
+    let report = view.refresh(&builder);
+    let t_report = t_view.refresh(&t_builder);
+    applied += report.batches_applied;
+    t_applied += t_report.batches_applied;
 
-        let full_out = block(&out_t, 0, n, 6);
-        let full_in = block(&in_t, 0, n, 6);
-        prop_assert_eq!(builder.eout(), &full_out);
-        prop_assert_eq!(builder.ein(), &full_in);
-        let rebuilt = adjacency_plan(&full_out, &full_in).execute_all(&pairs);
-        for (i, full) in rebuilt.iter().enumerate() {
-            prop_assert_eq!(view.lane(i), full, "NN lane {} diverged", i);
-        }
-
-        // The seventh paper pair, max.+ on the tropical carrier: ⊕ is
-        // max, associative, so its lane goes incremental too.
-        let mp = MaxPlus::<Tropical>::new();
-        let mut t_builder = IncidenceBuilder::new(
-            to_tropical(&block(&out_t, b[0], b[1], 6)),
-            to_tropical(&block(&in_t, b[0], b[1], 6)),
-        ).unwrap();
-        let mut t_view =
-            AdjacencyView::new(&t_builder, vec![&mp as &dyn DynOpPair<Tropical>]);
-        for w in b.windows(2).skip(1) {
-            t_builder
-                .append_batch(
-                    to_tropical(&block(&out_t, w[0], w[1], 6)),
-                    to_tropical(&block(&in_t, w[0], w[1], 6)),
-                )
-                .unwrap();
-        }
-        let t_report = t_view.refresh(&t_builder);
-        if n_batches > 0 {
+    let n_batches = b.len() - 2;
+    prop_assert_eq!((applied, t_applied), (n_batches, n_batches));
+    if n_batches > 0 {
+        if !eager {
+            prop_assert_eq!((report.incremental_lanes, report.rebuilt_lanes), (5, 1));
             prop_assert_eq!((t_report.incremental_lanes, t_report.rebuilt_lanes), (1, 0));
         }
-        let t_full = adjacency_plan(&to_tropical(&full_out), &to_tropical(&full_in))
-            .execute(&mp);
-        prop_assert_eq!(t_view.lane(0), &t_full);
+        // The +.× fallback is counted (global counter: monotone, so ≥
+        // is safe under concurrent tests).
+        let fallback_now = aarray_obs::snapshot().get(aarray_obs::Counter::IncrementalFallback);
+        prop_assert!(fallback_now > fallback_before);
+    } else {
+        prop_assert!(!report.did_work());
+    }
+
+    let full_out = block(out_t, 0, n);
+    let full_in = block(in_t, 0, n);
+    prop_assert_eq!(builder.eout(), &full_out);
+    prop_assert_eq!(builder.ein(), &full_in);
+    let rebuilt = adjacency_plan(&full_out, &full_in).execute_all(&pairs);
+    for (i, full) in rebuilt.iter().enumerate() {
+        prop_assert_eq!(view.lane(i), full, "NN lane {} diverged", i);
+    }
+    // The seventh paper pair, max.+ on the tropical carrier: ⊕ is max,
+    // associative, so its lane goes incremental too.
+    let t_full = adjacency_plan(&to_tropical(&full_out), &to_tropical(&full_in)).execute(&mp);
+    prop_assert_eq!(t_view.lane(0), &t_full);
+    Ok(())
+}
+
+proptest! {
+    /// Ordered row splits, refreshed once after all appends: the five
+    /// ⊕-associative NN lanes and the tropical max.+ lane all take the
+    /// delta path and land bit-identically on the one-shot rebuild;
+    /// +.× over NN degrades to the counted fallback but must still
+    /// agree.
+    #[test]
+    fn ordered_splits_match_one_shot_rebuild(spec in arb_spec()) {
+        ordered_replay_matches_rebuild(&spec, false)?;
+    }
+
+    /// The same splits with a refresh after every append, so each
+    /// batch's new vertices grow the cached lanes one splice at a time.
+    #[test]
+    fn refresh_after_every_append_matches_one_shot_rebuild(spec in arb_spec()) {
+        ordered_replay_matches_rebuild(&spec, true)?;
     }
 
     /// Appending chunks newest-first interleaves edge keys: every
@@ -184,26 +219,39 @@ proptest! {
         // Seed with the *last* chunk, then append earlier ones.
         let last = b.len() - 2;
         let mut builder = IncidenceBuilder::new(
-            block(&out_t, b[last], b[last + 1], 6),
-            block(&in_t, b[last], b[last + 1], 6),
+            block(&out_t, b[last], b[last + 1]),
+            block(&in_t, b[last], b[last + 1]),
         ).unwrap();
         let mut view = AdjacencyView::new(&builder, pairs.to_vec());
         for w in b.windows(2).take(last).rev() {
             let kind = builder
-                .append_batch(block(&out_t, w[0], w[1], 6), block(&in_t, w[0], w[1], 6))
+                .append_batch(block(&out_t, w[0], w[1]), block(&in_t, w[0], w[1]))
                 .unwrap();
             prop_assert_eq!(kind, BatchKind::OutOfOrder);
         }
         let report = view.refresh(&builder);
         prop_assert_eq!((report.incremental_lanes, report.rebuilt_lanes), (0, 2));
 
-        let full_out = block(&out_t, 0, n, 6);
-        let full_in = block(&in_t, 0, n, 6);
+        let full_out = block(&out_t, 0, n);
+        let full_in = block(&in_t, 0, n);
         prop_assert_eq!(builder.eout(), &full_out);
         prop_assert_eq!(builder.ein(), &full_in);
         let rebuilt = adjacency_plan(&full_out, &full_in).execute_all(&pairs);
         for (i, full) in rebuilt.iter().enumerate() {
             prop_assert_eq!(view.lane(i), full, "lane {} diverged", i);
+        }
+
+        // Past the barrier, an ordered batch that brings a fresh vertex
+        // on each side replays incrementally again.
+        let extra = [(n, 0, 3), (n, N_VERTS, 5), (n + 1, N_VERTS + 1, 2)];
+        builder
+            .append_batch(block(&extra, n, n + 2), block(&extra, n, n + 2))
+            .unwrap();
+        let report = view.refresh(&builder);
+        prop_assert_eq!((report.incremental_lanes, report.rebuilt_lanes), (2, 0));
+        let rebuilt = adjacency_plan(builder.eout(), builder.ein()).execute_all(&pairs);
+        for (i, full) in rebuilt.iter().enumerate() {
+            prop_assert_eq!(view.lane(i), full, "lane {} diverged past the barrier", i);
         }
     }
 
@@ -235,6 +283,31 @@ proptest! {
             prop_assert_eq!(a.key(i), k.as_str());
             prop_assert_eq!(bset.key(j), k.as_str());
         }
+    }
+
+    /// `KeySet::union` against a `BTreeSet` oracle, both when the rank
+    /// ranges are disjoint (the id-concatenation fast path, in either
+    /// argument order) and when they overlap (the merge walk).
+    #[test]
+    fn union_matches_set_oracle(
+        a_idx in prop::collection::vec(0usize..24, 0..16),
+        b_idx in prop::collection::vec(0usize..24, 0..16),
+        disjoint in prop_oneof![Just(false), Just(true)],
+    ) {
+        let b_key = |i: usize| if disjoint { format!("w{:03}", i) } else { vert_key(i) };
+        let a = KeySet::from_iter(a_idx.iter().map(|&i| vert_key(i)));
+        let bset = KeySet::from_iter(b_idx.iter().map(|&i| b_key(i)));
+        let oracle: Vec<String> = a_idx
+            .iter()
+            .map(|&i| vert_key(i))
+            .chain(b_idx.iter().map(|&i| b_key(i)))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let (ab, ba) = (a.union(&bset), bset.union(&a));
+        prop_assert_eq!(ab.keys(), &oracle[..]);
+        prop_assert_eq!(ba.keys(), &oracle[..]);
+        prop_assert_eq!(&ab, &KeySet::from_iter(oracle.iter().cloned()));
     }
 
     /// The three non-merge fast paths — shared storage, empty /

@@ -68,6 +68,19 @@ impl<V: Value> Csr<V> {
         }
     }
 
+    /// Take the raw parts `(nrows, ncols, indptr, indices, values)`,
+    /// the inverse of [`Csr::from_parts`] — lets an owner grow the
+    /// arrays in place instead of copying them.
+    pub fn into_parts(self) -> (usize, usize, Vec<usize>, Vec<u32>, Vec<V>) {
+        (
+            self.nrows,
+            self.ncols,
+            self.indptr,
+            self.indices,
+            self.values,
+        )
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
