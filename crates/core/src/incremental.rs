@@ -79,9 +79,7 @@ use crate::keys::KeySet;
 use crate::matmul::{parallel_flops_threshold, would_parallelize};
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
-use aarray_obs::{
-    counters, histograms, journal, trace_span, Counter, EventKind, Hist, OpKind, OpToken, Stage,
-};
+use aarray_obs::{counters, histograms, journal, Counter, EventKind, Hist, OpKind, OpToken, Stage};
 use aarray_sparse::spgemm_delta::spgemm_delta;
 use aarray_sparse::spgemm_multi::MultiAccumulator;
 use aarray_sparse::Csr;
@@ -563,12 +561,6 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
             return RefreshReport::default();
         }
         let mut report = RefreshReport::default();
-        let _span = trace_span!(
-            "incremental_refresh",
-            k_lanes = self.pairs.len(),
-            from_generation = self.generation,
-            to_generation = builder.generation()
-        );
 
         let deltas = builder.deltas_since(self.generation);
         let (inc_idx, reb_idx): (Vec<usize>, Vec<usize>) = match &deltas {
@@ -583,7 +575,7 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
             let batches = deltas.as_ref().expect("checked above");
             let inc_pairs: Vec<&dyn DynOpPair<V>> =
                 inc_idx.iter().map(|&i| self.pairs[i]).collect();
-            journal().begin(Stage::DeltaApply, inc_idx.len() as u64);
+            let span = journal().span(Stage::DeltaApply, inc_idx.len() as u64);
             for (d_out, d_in) in batches {
                 let t0 = Instant::now();
                 let parallel = would_parallelize(
@@ -616,7 +608,7 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
                 histograms().record(Hist::DeltaApplyNs, t0.elapsed().as_nanos() as u64);
                 report.batches_applied += 1;
             }
-            journal().end(Stage::DeltaApply, inc_idx.len() as u64);
+            span.end();
             crate::matmul::record_pool_stats();
             journal().record(
                 EventKind::DeltaApply,
@@ -684,16 +676,14 @@ fn rebuild_lanes<V: Value>(
     pairs: &[&dyn DynOpPair<V>],
     acc: MultiAccumulator,
 ) -> Vec<AArray<V>> {
-    let t0 = Instant::now();
-    journal().begin(Stage::Rebuild, pairs.len() as u64);
+    let span = journal().span(Stage::Rebuild, pairs.len() as u64);
     let plan = adjacency_plan(builder.eout(), builder.ein()).with_generation(builder.generation());
     debug_assert!(
         !plan.is_stale(builder.generation()),
         "plan stamped at build must match the builder generation"
     );
     let lanes = plan.execute_all_with(pairs, acc);
-    journal().end(Stage::Rebuild, pairs.len() as u64);
-    histograms().record(Hist::RebuildNs, t0.elapsed().as_nanos() as u64);
+    histograms().record(Hist::RebuildNs, span.end());
     lanes
 }
 

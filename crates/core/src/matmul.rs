@@ -10,9 +10,10 @@
 //! runs in ascending key order, left-associated — see `aarray-sparse`.
 
 use crate::array::AArray;
-use crate::profile::timed;
 use aarray_algebra::{BinaryOp, OpPair, Value};
-use aarray_obs::{counters, histograms, journal, Counter, EventKind, Gauge, Hist, OpKind, OpToken};
+use aarray_obs::{
+    counters, histograms, journal, Counter, EventKind, Gauge, Hist, OpKind, OpToken, Stage,
+};
 use aarray_sparse::{spgemm_flops, spgemm_parallel, spgemm_with, Accumulator};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -213,6 +214,7 @@ impl<V: Value> AArray<V> {
         M: BinaryOp<V>,
     {
         let mut op = OpToken::begin_if_root(OpKind::Matmul);
+        let span = journal().span(Stage::Align, self.nnz() as u64 + other.nnz() as u64);
         // Fast path: identical inner key sets need no realignment.
         let (lhs, rhs);
         let aligned;
@@ -228,28 +230,26 @@ impl<V: Value> AArray<V> {
             lhs = &aligned.0;
             rhs = &aligned.1;
         }
+        span.end();
 
+        // The dispatch fast path may skip the estimate; a ledger op
+        // always computes it so the record carries the op's real work
+        // figure (ledger ops are rare relative to the O(flops) kernel
+        // they describe), and the dispatch reuses it.
+        let flops = op.as_ref().map(|_| spgemm_flops(lhs, rhs));
         let acc = acc.unwrap_or(Accumulator::Spa);
-        let big = should_parallelize(|| spgemm_flops(lhs, rhs));
-        let (data, numeric_time) = timed(|| {
-            if big {
-                spgemm_parallel(lhs, rhs, pair, acc)
-            } else {
-                spgemm_with(lhs, rhs, pair, acc)
-            }
-        });
-        histograms().record(
-            Hist::NumericPassNs,
-            numeric_time.as_nanos().min(u64::MAX as u128) as u64,
-        );
+        let big = should_parallelize(|| flops.unwrap_or_else(|| spgemm_flops(lhs, rhs)));
+        let span = journal().span(Stage::Numeric, flops.unwrap_or(0));
+        let data = if big {
+            spgemm_parallel(lhs, rhs, pair, acc)
+        } else {
+            spgemm_with(lhs, rhs, pair, acc)
+        };
+        histograms().record(Hist::NumericPassNs, span.end());
         record_pool_stats();
 
         if let Some(t) = op.as_mut() {
-            // The dispatch fast path may have skipped the estimate;
-            // the ledger recomputes it so the record always carries the
-            // op's real work figure (ledger ops are rare relative to
-            // the O(flops) kernel they describe).
-            t.set_flops(spgemm_flops(lhs, rhs));
+            t.set_flops(flops.unwrap_or(0));
             t.set_out_nnz(data.nnz() as u64);
             t.set_lanes(1);
             t.set_dispatch(big, rayon::current_num_threads() as u64);

@@ -47,11 +47,11 @@
 use crate::array::AArray;
 use crate::keys::KeySet;
 use crate::matmul::should_parallelize;
-use crate::profile::{timed, NumericPass, StageProfile, StageReport};
+use crate::profile::{NumericPass, StageProfile, StageReport};
 use aarray_algebra::{BinaryOp, DynOpPair, OpPair, Value};
 use aarray_obs::{
-    counters, histograms, journal, memstats, trace_span, Counter, EventKind, Hist, MemRegion,
-    MemReservation, OpKind, OpToken, Stage,
+    counters, histograms, journal, memstats, Counter, EventKind, Hist, MemRegion, MemReservation,
+    OpKind, OpToken, Stage,
 };
 use aarray_sparse::spgemm_multi::{
     spgemm_multi_numeric, spgemm_multi_numeric_parallel, MultiAccumulator,
@@ -59,6 +59,7 @@ use aarray_sparse::spgemm_multi::{
 use aarray_sparse::symbolic::{spgemm_symbolic, SymbolicProduct};
 use aarray_sparse::{spgemm_flops, Csr};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Borrow-or-own storage for the plan's aligned operands: when an
 /// operand needs no realignment the plan borrows it, paying nothing;
@@ -114,28 +115,18 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
         lhs_inner: &KeySet,
         other: &'a AArray<V>,
     ) -> Self {
-        let _span = trace_span!(
-            "plan_build",
-            nnz_lhs = lhs.nnz(),
-            nnz_rhs = other.nnz(),
-            aligned = (lhs_inner != other.row_keys())
-        );
         let profile = StageProfile::default();
-        let nnz_in = lhs.nnz() as u64 + other.nnz() as u64;
-        journal().begin(Stage::Align, nnz_in);
-        let ((lhs, rhs), align_time) = timed(|| {
-            if lhs_inner == other.row_keys() {
-                (lhs, MaybeOwned::Borrowed(other.csr()))
-            } else {
-                let (_, left_idx, right_idx) = lhs_inner.intersect(other.row_keys());
-                (
-                    MaybeOwned::Owned(lhs.select_cols(&left_idx)),
-                    MaybeOwned::Owned(other.csr().select_rows(&right_idx)),
-                )
-            }
-        });
-        journal().end(Stage::Align, nnz_in);
-        profile.record_align(align_time);
+        let span = journal().span(Stage::Align, lhs.nnz() as u64 + other.nnz() as u64);
+        let (lhs, rhs) = if lhs_inner == other.row_keys() {
+            (lhs, MaybeOwned::Borrowed(other.csr()))
+        } else {
+            let (_, left_idx, right_idx) = lhs_inner.intersect(other.row_keys());
+            (
+                MaybeOwned::Owned(lhs.select_cols(&left_idx)),
+                MaybeOwned::Owned(other.csr().select_rows(&right_idx)),
+            )
+        };
+        profile.record_align(span.end());
         let flops = spgemm_flops(&lhs, &rhs);
         // The dispatch estimate is always known here — plans compute it
         // eagerly at build time, even on 1-thread pools where the
@@ -154,6 +145,17 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
             generation: 0,
             profile,
         }
+    }
+
+    /// Close a plan build begun at `t0`: record its latency and publish
+    /// the build op (when this call opened one).
+    fn finish_build(self, t0: Instant, op: Option<OpToken>) -> Self {
+        histograms().record(Hist::PlanBuildNs, t0.elapsed().as_nanos() as u64);
+        if let Some(mut t) = op {
+            t.set_flops(self.flops);
+            t.finish();
+        }
+        self
     }
 
     /// The plan's version stamp: the operand generation it was built
@@ -213,21 +215,12 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
         }
         self.sym.get_or_init(|| {
             counters().incr(Counter::PlanSymbolicMiss);
-            let _span = trace_span!(
-                "symbolic_pass",
-                nnz_lhs = self.lhs.nnz(),
-                nnz_rhs = self.rhs.nnz(),
-                flops = self.flops
-            );
-            journal().begin(Stage::Symbolic, self.flops);
-            let (sym, symbolic_time) = timed(|| spgemm_symbolic(&self.lhs, &self.rhs));
-            journal().end(Stage::Symbolic, self.flops);
+            let span = journal().span(Stage::Symbolic, self.flops);
+            let sym = spgemm_symbolic(&self.lhs, &self.rhs);
+            let symbolic_ns = span.end();
             journal().record(EventKind::PlanCacheMiss, self.flops, sym.nnz() as u64);
-            self.profile.record_symbolic(symbolic_time);
-            histograms().record(
-                Hist::SymbolicPassNs,
-                symbolic_time.as_nanos().min(u64::MAX as u128) as u64,
-            );
+            self.profile.record_symbolic(symbolic_ns);
+            histograms().record(Hist::SymbolicPassNs, symbolic_ns);
             let _ = self
                 .sym_mem
                 .set(memstats().track(MemRegion::PlanSymbolic, sym.heap_bytes()));
@@ -256,7 +249,6 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
         M: BinaryOp<V>,
     {
         let dyn_pair: &dyn DynOpPair<V> = pair;
-        let _span = trace_span!("numeric_pass", pair = dyn_pair.name(), flops = self.flops);
         self.execute_all(&[dyn_pair])
             .pop()
             .expect("one pair in, one result out")
@@ -287,30 +279,19 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
             MultiAccumulator::Spa => "spa",
             MultiAccumulator::Hash => "hash",
         };
-        let _span = trace_span!(
-            "execute_all",
-            k_lanes = pairs.len(),
-            flops = self.flops,
-            accumulator = acc_name,
-            nnz = sym.nnz(),
-            parallel = parallel
-        );
         let c = counters();
         c.add(Counter::FlopsTotal, self.flops);
         if self.transposed {
             c.incr(Counter::PlanTransposeReused);
         }
-        journal().begin(Stage::Numeric, self.flops);
-        let (data, numeric_time) = timed(|| {
-            if parallel {
-                spgemm_multi_numeric_parallel(sym, &self.lhs, &self.rhs, pairs, acc)
-            } else {
-                spgemm_multi_numeric(sym, &self.lhs, &self.rhs, pairs, acc)
-            }
-        });
-        journal().end(Stage::Numeric, self.flops);
+        let span = journal().span(Stage::Numeric, self.flops);
+        let data = if parallel {
+            spgemm_multi_numeric_parallel(sym, &self.lhs, &self.rhs, pairs, acc)
+        } else {
+            spgemm_multi_numeric(sym, &self.lhs, &self.rhs, pairs, acc)
+        };
+        let numeric_ns = span.end();
         crate::matmul::record_pool_stats();
-        let numeric_ns = numeric_time.as_nanos().min(u64::MAX as u128) as u64;
         histograms().record(Hist::NumericPassNs, numeric_ns);
         self.profile.record_numeric(NumericPass {
             lanes: pairs.len(),
@@ -341,61 +322,38 @@ impl<V: Value> AArray<V> {
     /// runs now, the symbolic pattern on first execute; neither is
     /// redone per pair. See [`MatmulPlan`].
     pub fn matmul_plan<'a>(&'a self, other: &'a AArray<V>) -> MatmulPlan<'a, V> {
-        let mut op = OpToken::begin_if_root(OpKind::PlanBuild);
-        let (plan, build_time) = timed(|| {
-            MatmulPlan::new(
-                self.row_keys().clone(),
-                MaybeOwned::Borrowed(self.csr()),
-                self.col_keys(),
-                other,
-            )
-        });
-        histograms().record(
-            Hist::PlanBuildNs,
-            build_time.as_nanos().min(u64::MAX as u128) as u64,
+        let op = OpToken::begin_if_root(OpKind::PlanBuild);
+        let t0 = Instant::now();
+        let plan = MatmulPlan::new(
+            self.row_keys().clone(),
+            MaybeOwned::Borrowed(self.csr()),
+            self.col_keys(),
+            other,
         );
-        if let Some(t) = op.as_mut() {
-            t.set_flops(plan.flops);
-        }
-        if let Some(t) = op {
-            t.finish();
-        }
-        plan
+        plan.finish_build(t0, op)
     }
 
     /// Prepare `selfᵀ ⊕.⊗ other` — the adjacency-construction shape
     /// `Eᵀout ⊕.⊗ Ein` — transposing `self` **once** into the plan
     /// instead of materializing a transposed array per call.
     pub fn transpose_matmul_plan<'a>(&self, other: &'a AArray<V>) -> MatmulPlan<'a, V> {
-        let mut op = OpToken::begin_if_root(OpKind::PlanBuild);
-        let (plan, build_time) = timed(|| {
-            journal().begin(Stage::Transpose, self.nnz() as u64);
-            let (transposed, transpose_time) = timed(|| self.csr().transpose());
-            journal().end(Stage::Transpose, self.nnz() as u64);
-            counters().incr(Counter::PlanTransposeBuilt);
-            let transpose_mem = memstats().track(MemRegion::PlanTranspose, transposed.heap_bytes());
-            let mut plan = MatmulPlan::new(
-                self.col_keys().clone(),
-                MaybeOwned::Owned(transposed),
-                self.row_keys(),
-                other,
-            );
-            plan.transposed = true;
-            plan._transpose_mem = Some(transpose_mem);
-            plan.profile.record_transpose(transpose_time);
-            plan
-        });
-        histograms().record(
-            Hist::PlanBuildNs,
-            build_time.as_nanos().min(u64::MAX as u128) as u64,
+        let op = OpToken::begin_if_root(OpKind::PlanBuild);
+        let t0 = Instant::now();
+        let span = journal().span(Stage::Transpose, self.nnz() as u64);
+        let transposed = self.csr().transpose();
+        let transpose_ns = span.end();
+        counters().incr(Counter::PlanTransposeBuilt);
+        let transpose_mem = memstats().track(MemRegion::PlanTranspose, transposed.heap_bytes());
+        let mut plan = MatmulPlan::new(
+            self.col_keys().clone(),
+            MaybeOwned::Owned(transposed),
+            self.row_keys(),
+            other,
         );
-        if let Some(t) = op.as_mut() {
-            t.set_flops(plan.flops);
-        }
-        if let Some(t) = op {
-            t.finish();
-        }
-        plan
+        plan.transposed = true;
+        plan._transpose_mem = Some(transpose_mem);
+        plan.profile.record_transpose(transpose_ns);
+        plan.finish_build(t0, op)
     }
 }
 

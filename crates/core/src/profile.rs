@@ -1,9 +1,9 @@
-//! Per-stage timing for plan execution — monotonic clocks, no tracing
-//! dependency, always available.
+//! Per-stage timing of one plan: a view over the journal's stage spans.
 //!
 //! A [`StageProfile`] lives inside every [`crate::plan::MatmulPlan`]
-//! and accumulates wall-clock time per pipeline stage as the plan is
-//! built and executed:
+//! and accumulates, per pipeline stage, the durations the plan's
+//! [`aarray_obs::StageSpan`] guards return as the plan is built and
+//! executed — the same timestamps the journal and the op ledger see:
 //!
 //! * **align** — inner key-set intersection + column/row selection;
 //! * **transpose** — materializing the left operand's transpose
@@ -16,20 +16,11 @@
 //! `Display` renders the per-stage table the repro binary prints under
 //! `--profile`. Interior mutability keeps recording compatible with
 //! the plan's `&self` execution methods; the stage cells are relaxed
-//! atomics and the numeric list a mutex taken once per execution, so
-//! the overhead is two `Instant` reads per stage.
+//! atomics and the numeric list a mutex taken once per execution.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// Run `f`, returning its result and elapsed wall-clock time.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
-}
 
 #[derive(Default)]
 struct StageCell {
@@ -38,10 +29,9 @@ struct StageCell {
 }
 
 impl StageCell {
-    fn record(&self, d: Duration) {
+    fn record(&self, ns: u64) {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        self.ns
-            .fetch_add(d.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
+        self.ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     fn read(&self) -> (u64, u64) {
@@ -78,19 +68,19 @@ pub struct StageProfile {
 }
 
 impl StageProfile {
-    /// Record one alignment pass.
-    pub fn record_align(&self, d: Duration) {
-        self.align.record(d);
+    /// Record one alignment pass of `ns` nanoseconds.
+    pub fn record_align(&self, ns: u64) {
+        self.align.record(ns);
     }
 
-    /// Record one transpose materialization.
-    pub fn record_transpose(&self, d: Duration) {
-        self.transpose.record(d);
+    /// Record one transpose materialization of `ns` nanoseconds.
+    pub fn record_transpose(&self, ns: u64) {
+        self.transpose.record(ns);
     }
 
-    /// Record one symbolic pass.
-    pub fn record_symbolic(&self, d: Duration) {
-        self.symbolic.record(d);
+    /// Record one symbolic pass of `ns` nanoseconds.
+    pub fn record_symbolic(&self, ns: u64) {
+        self.symbolic.record(ns);
     }
 
     /// Record one numeric execution.
@@ -229,10 +219,10 @@ mod tests {
     #[test]
     fn report_accumulates_stages() {
         let p = StageProfile::default();
-        p.record_align(Duration::from_micros(5));
-        p.record_align(Duration::from_micros(5));
-        p.record_transpose(Duration::from_micros(2));
-        p.record_symbolic(Duration::from_micros(3));
+        p.record_align(5_000);
+        p.record_align(5_000);
+        p.record_transpose(2_000);
+        p.record_symbolic(3_000);
         p.record_numeric(NumericPass {
             lanes: 6,
             parallel: false,
@@ -258,7 +248,7 @@ mod tests {
     #[test]
     fn json_report_is_well_formed_and_complete() {
         let p = StageProfile::default();
-        p.record_align(Duration::from_micros(5));
+        p.record_align(5_000);
         p.record_numeric(NumericPass {
             lanes: 2,
             parallel: true,
@@ -292,12 +282,5 @@ mod tests {
         assert_eq!(fmt_ns(2_500), "2.5 µs");
         assert_eq!(fmt_ns(3_000_000), "3.000 ms");
         assert_eq!(fmt_ns(1_500_000_000), "1.500 s");
-    }
-
-    #[test]
-    fn timed_measures_nonzero() {
-        let (v, d) = timed(|| (0..1000u64).sum::<u64>());
-        assert_eq!(v, 499_500);
-        assert!(d.as_nanos() > 0 || d.is_zero()); // monotonic, never panics
     }
 }

@@ -400,9 +400,8 @@ mod tests {
 
     fn sample_journal() -> Journal {
         let j = Journal::with_capacity(256);
-        j.begin(Stage::Align, 10);
-        j.end(Stage::Align, 10);
-        j.begin(Stage::Numeric, 99);
+        j.span(Stage::Align, 10).end();
+        let numeric = j.span(Stage::Numeric, 99);
         j.record(EventKind::KernelChoice, 0, 0);
         j.record(EventKind::FusedChoice, 0, (6 << 1) | 1);
         j.record(EventKind::DispatchParallel, 200_000, 131_072);
@@ -412,7 +411,7 @@ mod tests {
         j.record(EventKind::DeltaApply, 5, 2);
         j.record(EventKind::IncrementalFallback, 1, 0);
         j.record(EventKind::IncrementalFallback, 2, 1);
-        j.end(Stage::Numeric, 99);
+        numeric.end();
         j
     }
 
@@ -579,11 +578,11 @@ mod tests {
         // its end survives. The exporter must drop the orphan half
         // (counted in otherData) and still emit a validating document.
         let j = Journal::with_capacity(8);
-        j.begin(Stage::Numeric, 7);
+        let span = j.span(Stage::Numeric, 7);
         for i in 0..9 {
             j.record(EventKind::RowShape, i, 1);
         }
-        j.end(Stage::Numeric, 7);
+        span.end();
         let snap = j.snapshot();
         assert!(snap.dropped > 0, "wraparound must have dropped events");
         let stats = self_check(&snap).expect("truncated export must validate");

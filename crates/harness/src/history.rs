@@ -17,8 +17,9 @@
 //! "check would have failed" mean the same thing.
 
 use crate::compare::CheckConfig;
+use crate::diff::summarize;
 use crate::json::Value;
-use crate::schema::{classify, BenchKind, STAGE_KEYS};
+use crate::schema::{classify, BenchKind};
 
 /// Schema version stamped into `obsctl history --out` documents.
 pub const HISTORY_SCHEMA_VERSION: u64 = 1;
@@ -85,47 +86,10 @@ pub struct Trend {
 /// Accepts every shape ever committed as `BENCH_pr*.json`; a document
 /// no recognizer accepts is an error naming both rejections.
 pub fn ingest(label: &str, doc: &Value) -> Result<HistoryEntry, String> {
-    match classify(doc) {
-        Ok(BenchKind::V3) => {
-            let mut points = Vec::new();
-            if let Some(ws) = doc.get("workloads").and_then(Value::as_arr) {
-                for w in ws {
-                    let (Some(name), Some(rows)) = (
-                        w.get("name").and_then(Value::as_str),
-                        w.get("rows").and_then(Value::as_u64),
-                    ) else {
-                        continue;
-                    };
-                    for stage in STAGE_KEYS {
-                        if let Some(ns) = w
-                            .path(&["stages", stage])
-                            .and_then(|e| e.get("median_ns"))
-                            .and_then(Value::as_u64)
-                        {
-                            points.push((format!("{}@{}/{}", name, rows, stage), ns));
-                        }
-                    }
-                }
-            }
-            Ok(HistoryEntry {
-                label: label.to_string(),
-                shape: "observatory",
-                points,
-            })
-        }
-        Ok(BenchKind::LegacyFused { tracks, fused_ms }) => Ok(HistoryEntry {
-            label: label.to_string(),
-            shape: "legacy-fused",
-            points: vec![(format!("fig3@{}/total", tracks), (fused_ms * 1e6) as u64)],
-        }),
-        Ok(BenchKind::LegacyOverhead {
-            tracks,
-            workload_ms,
-        }) => Ok(HistoryEntry {
-            label: label.to_string(),
-            shape: "legacy-overhead",
-            points: vec![(format!("fig3@{}/wall", tracks), (workload_ms * 1e6) as u64)],
-        }),
+    let shape = match classify(doc) {
+        Ok(BenchKind::V3) => "observatory",
+        Ok(BenchKind::LegacyFused { .. }) => "legacy-fused",
+        Ok(BenchKind::LegacyOverhead { .. }) => "legacy-overhead",
         Err(classify_err) => {
             // The parbench matrix is rejected as a *check* baseline
             // (its cells are not observatory workloads) but its
@@ -135,12 +99,24 @@ pub fn ingest(label: &str, doc: &Value) -> Result<HistoryEntry, String> {
             {
                 return ingest_parbench(label, doc);
             }
-            Err(format!(
+            return Err(format!(
                 "{}: not a recognized baseline ({})",
                 label, classify_err
-            ))
+            ));
         }
-    }
+    };
+    // The stage walk and the legacy figure mapping are the diff
+    // reader's; history only flattens them into metric names.
+    let summary = summarize(doc).map_err(|e| format!("{}: {}", label, e))?;
+    Ok(HistoryEntry {
+        label: label.to_string(),
+        shape,
+        points: summary
+            .stages
+            .into_iter()
+            .map(|(workload, stage, ns)| (format!("{}/{}", workload, stage), ns))
+            .collect(),
+    })
 }
 
 fn ingest_parbench(label: &str, doc: &Value) -> Result<HistoryEntry, String> {

@@ -43,18 +43,16 @@
 //! slowest-N exemplar records with their per-stage breakdown, and cuts
 //! the slowest op's journal window into a per-op Chrome trace.
 //!
-//! `top` runs one workload on a background thread and prints a live
-//! snapshot/diff line per sampling interval — ops completed per kind
-//! with interval p95s, plus journal growth — then a final tail table.
-//!
 //! `watch` is the live half of the observatory: it runs one workload
 //! while a background [`aarray_obs::Collector`] samples full reports
 //! into a bounded frame ring. With `--listen` an embedded `std::net`
 //! HTTP/1.0 server serves `GET /metrics` (Prometheus exposition from
 //! the latest frame), `/report.json`, `/series.json` (the ring as
 //! sparkline columns), and `/healthz` (sampler liveness + drop
-//! counts); without it, the terminal shows `top`-style interval diffs
-//! derived from frame pairs. `fetch` is the matching dependency-free
+//! counts); without it, the terminal prints one line per sampled frame
+//! — ops completed per kind with interval p95s, journal growth, and any
+//! op or journal records lost to ring wraparound — derived from frame
+//! pairs, then a final tail table. `fetch` is the matching dependency-free
 //! HTTP client so CI needs no `curl`.
 //!
 //! `check` validates every file's schema (exit 2 on a malformed or
@@ -101,7 +99,6 @@ fn main() -> ExitCode {
         Some("parbench") => cmd_parbench(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("ops") => cmd_ops(&args[1..]),
-        Some("top") => cmd_top(&args[1..]),
         Some("watch") => cmd_watch(&args[1..]),
         Some("fetch") => cmd_fetch(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
@@ -134,8 +131,6 @@ usage:
                 [--out <workload>.trace.json] [--expect-parallel]
   obsctl ops    [fig3|fig5|stream] [--rows 2000] [--reps 3] [--slowest 5]
                 [--trace-out <workload>.optrace.json]
-  obsctl top    [fig3|fig5|stream] [--rows 4000] [--reps 20]
-                [--interval-ms 200]
   obsctl watch  [fig3|fig5|stream] [--rows 4000] [--reps 20]
                 [--interval-ms <AARRAY_OBS_SAMPLE_MS>] [--listen 127.0.0.1:PORT]
                 [--port-file <path>]
@@ -788,7 +783,7 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Render the per-kind tail table shared by `ops` and `top`: one row
+/// Render the per-kind tail table shared by `ops` and `watch`: one row
 /// per op kind that completed at least once, with wall-time p50/p95/p99
 /// from the ledger's log2 histograms.
 fn ops_table(ops: &aarray_obs::OpsReport) -> String {
@@ -980,112 +975,6 @@ fn cmd_ops(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_top(args: &[String]) -> ExitCode {
-    let mut workload = "fig3".to_string();
-    let mut rows = 4_000usize;
-    let mut reps = 20usize;
-    let mut interval_ms = 200u64;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let r = match a.as_str() {
-            "fig3" | "fig5" | "stream" => {
-                workload = a.clone();
-                Ok(())
-            }
-            "--rows" => take_value(&mut it, a).and_then(|v| {
-                v.parse()
-                    .map(|n| rows = n)
-                    .map_err(|_| format!("--rows: bad count {:?}", v))
-            }),
-            "--reps" => take_value(&mut it, a).and_then(|v| {
-                v.parse()
-                    .map(|n| reps = n)
-                    .map_err(|_| format!("--reps: bad count {:?}", v))
-            }),
-            "--interval-ms" => take_value(&mut it, a).and_then(|v| {
-                v.parse()
-                    .map(|n| interval_ms = n)
-                    .map_err(|_| format!("--interval-ms: bad count {:?}", v))
-            }),
-            _ => Err(format!("unknown workload or flag {:?}", a)),
-        };
-        if let Err(e) = r {
-            eprintln!("obsctl top: {}\n{}", e, USAGE);
-            return ExitCode::from(2);
-        }
-    }
-    if rows == 0 || reps == 0 || interval_ms == 0 {
-        eprintln!("obsctl top: need nonzero rows, reps, and interval");
-        return ExitCode::from(2);
-    }
-
-    println!(
-        "obsctl top: sampling every {} ms while {}@{} x{} rep(s) runs",
-        interval_ms, workload, rows, reps
-    );
-    let start = ObsReport::capture();
-    let wl = workload.clone();
-    let handle = std::thread::spawn(move || run_named_workload(&wl, rows, reps));
-
-    let mut last = start.clone();
-    let mut tick = 0u64;
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-        let now = ObsReport::capture();
-        let d = now.since(&last);
-        tick += 1;
-        let mut parts = Vec::new();
-        for (i, &(_, name)) in aarray_obs::OP_KIND_NAMES.iter().enumerate() {
-            let t = &d.ops.tails[i];
-            if t.count() > 0 {
-                parts.push(format!(
-                    "{} +{} p95 {} ns",
-                    name,
-                    t.count(),
-                    t.quantile(0.95)
-                ));
-            }
-        }
-        println!(
-            "tick {:>3}: ops +{}{}  journal +{} event(s){}",
-            tick,
-            d.ops.recorded,
-            if parts.is_empty() {
-                String::new()
-            } else {
-                format!("  [{}]", parts.join(", "))
-            },
-            d.journal.recorded,
-            if d.ops.dropped > 0 || d.journal.dropped > 0 {
-                format!(
-                    "  ({} op / {} journal record(s) dropped)",
-                    d.ops.dropped, d.journal.dropped
-                )
-            } else {
-                String::new()
-            }
-        );
-        last = now;
-        if handle.is_finished() {
-            break;
-        }
-    }
-    if handle.join().is_err() {
-        eprintln!("obsctl top: workload thread panicked");
-        return ExitCode::from(2);
-    }
-
-    let total = ObsReport::capture().since(&start);
-    println!();
-    println!(
-        "workload finished after {} tick(s): {} op(s) recorded, {} dropped",
-        tick, total.ops.recorded, total.ops.dropped
-    );
-    print!("{}", ops_table(&total.ops));
-    ExitCode::SUCCESS
-}
-
 fn cmd_watch(args: &[String]) -> ExitCode {
     let mut workload = "fig3".to_string();
     let mut rows = 4_000usize;
@@ -1185,8 +1074,8 @@ fn cmd_watch(args: &[String]) -> ExitCode {
     let handle = std::thread::spawn(move || run_named_workload(&wl, rows, reps));
 
     // Tick loop: with a server the frames speak for themselves; without
-    // one, render top-style interval diffs derived from frame *pairs*
-    // (never by mutating the live registries).
+    // one, render interval diffs derived from frame *pairs* (never by
+    // mutating the live registries).
     let mut prev: Option<aarray_obs::Frame> = None;
     let mut tick = 0u64;
     loop {
@@ -1212,7 +1101,7 @@ fn cmd_watch(args: &[String]) -> ExitCode {
                         }
                     }
                     println!(
-                        "frame {:>3}: ops +{}{}  journal +{} event(s)",
+                        "frame {:>3}: ops +{}{}  journal +{} event(s){}",
                         cur.seq,
                         d.ops.recorded,
                         if parts.is_empty() {
@@ -1220,7 +1109,15 @@ fn cmd_watch(args: &[String]) -> ExitCode {
                         } else {
                             format!("  [{}]", parts.join(", "))
                         },
-                        d.journal.recorded
+                        d.journal.recorded,
+                        if d.ops.dropped > 0 || d.journal.dropped > 0 {
+                            format!(
+                                "  ({} op / {} journal record(s) dropped)",
+                                d.ops.dropped, d.journal.dropped
+                            )
+                        } else {
+                            String::new()
+                        }
                     );
                     prev = Some(cur);
                 }

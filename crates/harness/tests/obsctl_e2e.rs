@@ -676,7 +676,7 @@ fn ops_shows_tails_and_writes_a_per_op_trace() {
 fn top_ticks_while_the_workload_runs_and_prints_a_final_table() {
     let o = obsctl()
         .args([
-            "top",
+            "watch",
             "fig3",
             "--rows",
             "600",
@@ -703,7 +703,7 @@ fn top_ticks_while_the_workload_runs_and_prints_a_final_table() {
     }
 
     let o = obsctl()
-        .args(["top", "--interval-ms", "0"])
+        .args(["watch", "--interval-ms", "0"])
         .output()
         .unwrap();
     assert_eq!(o.status.code(), Some(2));

@@ -8,7 +8,10 @@
 //! two `u64` payload slots — to a process-wide ring buffer, and the
 //! stage boundaries (align / transpose / symbolic / numeric /
 //! delta-apply / rebuild) append begin/end pairs so a drained journal
-//! doubles as a span timeline without the `trace` feature.
+//! doubles as a span timeline. Stage pairs are written only by the
+//! [`StageSpan`] guard ([`Journal::span`]), which is also the
+//! workspace's one stage timer: plan profiles, latency histograms and
+//! op-ledger stage slots all derive from the timestamps it records.
 //!
 //! Design, mirroring the counter registry's relaxed-atomic discipline:
 //!
@@ -342,34 +345,42 @@ impl Journal {
         self.cursor().saturating_sub(self.capacity() as u64)
     }
 
-    /// Append one record. Lock-free, allocation-free after the first
-    /// call; a handful of relaxed stores plus two fences.
+    /// Append one record and return the timestamp it carries.
+    /// Lock-free, allocation-free after the first call; a handful of
+    /// relaxed stores plus two fences.
     #[inline]
-    pub fn record(&self, kind: EventKind, a: u64, b: u64) {
+    pub fn record(&self, kind: EventKind, a: u64, b: u64) -> u64 {
         let ring = self.ring();
         let claim = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &ring[(claim % ring.len() as u64) as usize];
         slot.seq.store(2 * claim + 1, Ordering::Relaxed);
         fence(Ordering::Release);
-        slot.ts.store(now_ns(), Ordering::Relaxed);
+        let ts = now_ns();
+        slot.ts.store(ts, Ordering::Relaxed);
         slot.tid_kind
             .store((thread_id() << 32) | kind as u64, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
         slot.op.store(crate::oplog::current_op(), Ordering::Relaxed);
         slot.seq.store(2 * claim + 2, Ordering::Release);
+        ts
     }
 
-    /// Begin-of-stage marker; pair with [`Journal::end`].
+    /// Open a stage span: records [`EventKind::StageBegin`] now and the
+    /// matching [`EventKind::StageEnd`] when the guard is ended or
+    /// dropped, so every span is balanced. `extra` fills payload slot
+    /// `b` of both records. This is the workspace's one stage timer:
+    /// [`StageSpan::end`] returns the span's length from the same two
+    /// timestamps the journal holds.
     #[inline]
-    pub fn begin(&self, stage: Stage, extra: u64) {
-        self.record(EventKind::StageBegin, stage as u64, extra);
-    }
-
-    /// End-of-stage marker.
-    #[inline]
-    pub fn end(&self, stage: Stage, extra: u64) {
-        self.record(EventKind::StageEnd, stage as u64, extra);
+    pub fn span(&self, stage: Stage, extra: u64) -> StageSpan<'_> {
+        let begin_ns = self.record(EventKind::StageBegin, stage as u64, extra);
+        StageSpan {
+            journal: self,
+            stage,
+            extra,
+            begin_ns,
+        }
     }
 
     /// Copy out every validated record, oldest first. Concurrent
@@ -487,6 +498,39 @@ impl Journal {
             slot.seq.store(0, Ordering::Relaxed);
         }
         self.head.store(0, Ordering::Release);
+    }
+}
+
+/// An open stage span (see [`Journal::span`]). Dropping it records the
+/// end; [`StageSpan::end`] does the same and returns the length.
+#[must_use = "a stage span ends when its guard drops; bind it with `let`"]
+pub struct StageSpan<'j> {
+    journal: &'j Journal,
+    stage: Stage,
+    extra: u64,
+    begin_ns: u64,
+}
+
+impl StageSpan<'_> {
+    /// Close the span now; returns its length in ns — the difference of
+    /// the begin and end timestamps written to the journal.
+    #[inline]
+    pub fn end(self) -> u64 {
+        std::mem::ManuallyDrop::new(self).close()
+    }
+
+    #[inline]
+    fn close(&self) -> u64 {
+        let end_ns = self
+            .journal
+            .record(EventKind::StageEnd, self.stage as u64, self.extra);
+        end_ns.saturating_sub(self.begin_ns)
+    }
+}
+
+impl Drop for StageSpan<'_> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -743,8 +787,7 @@ mod tests {
     fn records_round_trip_in_order() {
         let j = Journal::with_capacity(128);
         j.record(EventKind::DispatchSerial, 37, 131072);
-        j.begin(Stage::Symbolic, 9);
-        j.end(Stage::Symbolic, 9);
+        let ns = j.span(Stage::Symbolic, 9).end();
         let snap = j.snapshot();
         assert_eq!(snap.recorded, 3);
         assert_eq!(snap.dropped, 0);
@@ -754,6 +797,11 @@ mod tests {
         assert_eq!((snap.events[0].a, snap.events[0].b), (37, 131072));
         assert_eq!(snap.events[1].kind, EventKind::StageBegin);
         assert_eq!(Stage::from_u64(snap.events[1].a), Some(Stage::Symbolic));
+        // The guard's end record mirrors its begin, and `end()` returns
+        // exactly the gap between the two journal timestamps.
+        assert_eq!(snap.events[2].kind, EventKind::StageEnd);
+        assert_eq!((snap.events[2].a, snap.events[2].b), (snap.events[1].a, 9));
+        assert_eq!(ns, snap.events[2].ts_ns - snap.events[1].ts_ns);
         assert!(snap.events.windows(2).all(|w| w[0].seq < w[1].seq));
         assert!(snap.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     }
@@ -812,12 +860,13 @@ mod tests {
     #[test]
     fn chrome_trace_is_balanced_and_shaped() {
         let j = Journal::with_capacity(64);
-        j.begin(Stage::Align, 3);
-        j.end(Stage::Align, 3);
-        j.begin(Stage::Numeric, 7);
-        j.record(EventKind::KernelChoice, 1, 0);
-        j.record(EventKind::DispatchSerial, 37, 131072);
-        j.end(Stage::Numeric, 7);
+        // A guard dropped without `end()` still closes its span.
+        drop(j.span(Stage::Align, 3));
+        {
+            let _numeric = j.span(Stage::Numeric, 7);
+            j.record(EventKind::KernelChoice, 1, 0);
+            j.record(EventKind::DispatchSerial, 37, 131072);
+        }
         // An end whose begin was "lost": must not unbalance the export.
         j.record(EventKind::StageEnd, Stage::Symbolic as u64, 0);
         let trace = j.snapshot().to_chrome_trace();
@@ -875,13 +924,12 @@ mod tests {
         j.record(EventKind::PlanCacheMiss, 1, 1); // unattributed
         {
             let _op = crate::oplog::enter_op(41);
-            j.begin(Stage::Numeric, 7);
+            let outer = j.span(Stage::Numeric, 7);
             {
                 let _inner = crate::oplog::enter_op(42);
-                j.begin(Stage::Numeric, 8);
-                j.end(Stage::Numeric, 8);
+                j.span(Stage::Numeric, 8).end();
             }
-            j.end(Stage::Numeric, 7);
+            outer.end();
         }
         let snap = j.snapshot();
         assert_eq!(snap.events[0].op, 0);

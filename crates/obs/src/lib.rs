@@ -58,18 +58,11 @@
 //!   `fetch_add` costs a few nanoseconds against kernels that do
 //!   microseconds-to-milliseconds of work per call, so the registry
 //!   stays on in release builds (quantified by the `obs_overhead`
-//!   bench, budget ≤ 2% on the seven-pair fused workload);
+//!   bench, budget ≤ 2% on the seven-pair fused workload).
 //!
-//! * **feature-gated tracing spans** ([`trace_span!`]) — compiled to
-//!   nothing (a unit guard) unless the `trace` feature is enabled, in
-//!   which case spans with `nnz`/`flops`/`k_lanes`/`accumulator` fields
-//!   are emitted through the `tracing` facade. With default features
-//!   the `tracing` dependency does not exist in the build graph at all.
-//!
-//! Consumers that emit spans must declare their own `trace` feature
-//! forwarding to `aarray-obs/trace` (as `aarray-core` does), because
-//! [`trace_span!`] expands in the consumer and checks the consumer's
-//! feature set.
+//! Stage timing has one source: the journal's [`StageSpan`] guard
+//! ([`Journal::span`]). Plan profiles, latency histograms and the
+//! ledger's stage slots are all read from the spans it records.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -94,7 +87,7 @@ pub use histogram::{
     HISTOGRAMS_ENV,
 };
 pub use journal::{
-    journal, Event, EventKind, Journal, JournalSnapshot, JournalStats, Stage,
+    journal, Event, EventKind, Journal, JournalSnapshot, JournalStats, Stage, StageSpan,
     DEFAULT_JOURNAL_EVENTS, JOURNAL_EVENTS_ENV,
 };
 pub use memstats::{memstats, MemRegion, MemReservation, MemSnapshot, MemStats};
@@ -108,37 +101,3 @@ pub use timeseries::{
     frames_from_env, Frame, SeriesStats, TimeSeriesRing, TimeSeriesSnapshot, DEFAULT_FRAMES,
     FRAMES_ENV,
 };
-
-/// Re-export of the `tracing` facade for [`trace_span!`] expansion.
-#[cfg(feature = "trace")]
-pub use tracing;
-
-/// Enter a tracing span — or do nothing, at zero cost, without the
-/// `trace` feature.
-///
-/// Expands to an entered span guard when the **calling crate's**
-/// `trace` feature is enabled (which must forward to
-/// `aarray-obs/trace`), and to `()` otherwise, so field expressions
-/// are never even evaluated in untraced builds:
-///
-/// ```ignore
-/// let _span = aarray_obs::trace_span!("execute_all", k_lanes = pairs.len(), flops = flops);
-/// ```
-#[macro_export]
-macro_rules! trace_span {
-    ($name:literal $(, $k:ident = $v:expr)* $(,)?) => {{
-        #[cfg(feature = "trace")]
-        {
-            $crate::tracing::span!($name $(, $k = $v)*).entered()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            $crate::NoopSpan
-        }
-    }};
-}
-
-/// Zero-sized stand-in guard returned by [`trace_span!`] when the
-/// `trace` feature is disabled (avoids binding a unit value).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSpan;

@@ -859,6 +859,10 @@ impl OpToken {
         let mut draft = OpDraft::new(kind);
         draft.id = id;
         draft.label = CURRENT_LABEL.with(Cell::get);
+        // Allocate the journal ring before the clock starts; otherwise
+        // its one-time allocation lands in the first op's wall time,
+        // outside every stage.
+        journal().capacity();
         draft.seq_start = journal().cursor();
         OpToken {
             draft,
@@ -1179,8 +1183,7 @@ mod tests {
         let mut tok = OpToken::begin(OpKind::Kernel);
         let id = tok.id();
         assert_eq!(current_op(), id);
-        journal().begin(Stage::Numeric, 1);
-        journal().end(Stage::Numeric, 1);
+        journal().span(Stage::Numeric, 1).end();
         tok.set_out_nnz(5);
         tok.set_lanes(1);
         tok.set_dispatch(false, 1);
@@ -1228,6 +1231,23 @@ mod tests {
         let s = stage_breakdown(&events, 9);
         assert_eq!(s[Stage::DeltaApply as usize], 100);
         assert_eq!(s[Stage::Numeric as usize], 0);
+
+        // Guarded spans attribute exactly like the raw pairs above:
+        // each slot equals the lengths the guards returned, a dropped
+        // guard counts like an ended one, and a numeric span inside a
+        // delta-apply span stays attributed to delta-apply.
+        let j = crate::journal::Journal::with_capacity(32);
+        let _op = enter_op(11);
+        let align = j.span(Stage::Align, 1).end();
+        let numeric = j.span(Stage::Numeric, 2).end();
+        let delta_span = j.span(Stage::DeltaApply, 1);
+        drop(j.span(Stage::Numeric, 3));
+        let delta = delta_span.end();
+        let s = stage_breakdown(&j.snapshot().events, 11);
+        assert_eq!(s[Stage::Align as usize], align);
+        assert_eq!(s[Stage::Numeric as usize], numeric);
+        assert_eq!(s[Stage::DeltaApply as usize], delta);
+        assert_eq!(s[Stage::Symbolic as usize], 0);
     }
 
     #[test]

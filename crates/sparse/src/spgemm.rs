@@ -224,18 +224,13 @@ where
         .into_par_iter()
         .map(|range| {
             let _op = enter_op(cur);
-            if spans {
-                journal().begin(Stage::Numeric, range.len() as u64);
-            }
+            let _span = spans.then(|| journal().span(Stage::Numeric, range.len() as u64));
             let mut scratch = RowScratch::new(b.ncols());
             let mut rows = Vec::with_capacity(range.len());
             for i in range.clone() {
                 let mut out = Vec::new();
                 multiply_row(a, b, pair, acc, i, &mut scratch, &mut out);
                 rows.push(out);
-            }
-            if spans {
-                journal().end(Stage::Numeric, range.len() as u64);
             }
             rows
         })

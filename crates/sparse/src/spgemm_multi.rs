@@ -223,18 +223,13 @@ pub fn spgemm_multi_numeric_parallel<V: Value>(
         .into_par_iter()
         .map(|range| {
             let _op = enter_op(cur);
-            if spans {
-                journal().begin(Stage::Numeric, range.len() as u64);
-            }
+            let _span = spans.then(|| journal().span(Stage::Numeric, range.len() as u64));
             let mut scratch = MultiScratch::new(b.ncols());
             let mut rows = Vec::with_capacity(range.len());
             for i in range.clone() {
                 let mut row_out: Vec<Vec<(u32, V)>> = vec![Vec::new(); npairs];
                 multiply_row_multi(a, b, pairs, acc, i, sym.row(i), &mut scratch, &mut row_out);
                 rows.push(row_out);
-            }
-            if spans {
-                journal().end(Stage::Numeric, range.len() as u64);
             }
             rows
         })
