@@ -9,7 +9,7 @@ use aarray_algebra::pairs::PlusTimes;
 use aarray_algebra::values::nat::Nat;
 use aarray_core::adjacency_array_unchecked;
 use aarray_graph::generators::erdos_renyi;
-use aarray_sparse::Accumulator;
+use aarray_sparse::{spgemm_with, Accumulator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_accumulators(c: &mut Criterion) {
@@ -20,12 +20,16 @@ fn bench_accumulators(c: &mut Criterion) {
     for &(n, m) in &[(2_000usize, 4_000usize), (2_000, 20_000), (500, 20_000)] {
         let g = erdos_renyi(n, m, 99);
         let (eout, ein) = g.incidence_arrays(&pair);
+        // Both incidence arrays share the edge keys, so the transpose's
+        // columns already line up with `ein`'s rows: the CSRs are the
+        // aligned kernel operands.
         let eout_t = eout.transpose();
+        assert_eq!(eout_t.col_keys(), ein.row_keys());
         for acc in [Accumulator::Spa, Accumulator::Hash, Accumulator::Esc] {
             group.bench_with_input(
                 BenchmarkId::new(format!("{:?}", acc), format!("n{}_m{}", n, m)),
-                &(&eout_t, &ein),
-                |b, (eout_t, ein)| b.iter(|| eout_t.matmul_with(ein, &pair, Some(acc))),
+                &(eout_t.csr(), ein.csr()),
+                |b, (lhs, rhs)| b.iter(|| spgemm_with(lhs, rhs, &pair, acc)),
             );
         }
     }
@@ -35,9 +39,10 @@ fn bench_accumulators(c: &mut Criterion) {
     let g = erdos_renyi(300, 2_000, 5);
     let (eout, ein) = g.incidence_arrays(&pair);
     let reference = adjacency_array_unchecked(&eout, &ein, &pair);
+    let eout_t = eout.transpose();
     for acc in [Accumulator::Spa, Accumulator::Hash, Accumulator::Esc] {
-        let got = eout.transpose().matmul_with(&ein, &pair, Some(acc));
-        assert_eq!(got, reference, "{:?} disagrees", acc);
+        let got = spgemm_with(eout_t.csr(), ein.csr(), &pair, acc);
+        assert_eq!(&got, reference.csr(), "{:?} disagrees", acc);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Ablation: serial vs rayon row-parallel SpGEMM across sizes — where
-//! does parallelism start paying? (This calibrates the
-//! `PARALLEL_NNZ_THRESHOLD` in `aarray-core::matmul`.)
+//! does parallelism start paying? (This calibrates the flops gate,
+//! `DEFAULT_PARALLEL_FLOPS_THRESHOLD` in `aarray-core::matmul`.)
 
 use aarray_algebra::pairs::PlusTimes;
 use aarray_algebra::values::nat::Nat;

@@ -9,10 +9,11 @@
 //! contract over the *edge-key* dimension, and an appended batch shares
 //! no edge key with the prior incidence (duplicate edge keys are
 //! rejected), so both cross products are structurally empty. What
-//! remains is one batch-local product per `⊕.⊗` lane —
-//! [`aarray_sparse::spgemm_delta::spgemm_delta`] computes all lanes in
-//! a single fused traversal — folded into each cached lane by a row
-//! splice.
+//! remains is one batch-local product `ΔEᵀout ⊕.⊗ ΔEin` per `⊕.⊗`
+//! lane — computed for all lanes by one
+//! [`crate::plan::MatmulPlan::execute_all`] on a transpose plan of the
+//! batch blocks, the same product path a build takes — folded into
+//! each cached lane by a row splice.
 //!
 //! # What a batch costs
 //!
@@ -76,12 +77,9 @@
 use crate::array::AArray;
 use crate::incidence::adjacency_plan;
 use crate::keys::KeySet;
-use crate::matmul::{parallel_flops_threshold, would_parallelize};
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
 use aarray_obs::{counters, histograms, journal, Counter, EventKind, Hist, OpKind, OpToken, Stage};
-use aarray_sparse::spgemm_delta::spgemm_delta;
-use aarray_sparse::spgemm_multi::MultiAccumulator;
 use aarray_sparse::Csr;
 use std::fmt;
 use std::time::Instant;
@@ -497,7 +495,6 @@ pub struct AdjacencyView<'p, V: Value> {
     lanes: Vec<AArray<V>>,
     /// Builder generation the cached lanes reflect.
     generation: u64,
-    acc: MultiAccumulator,
 }
 
 impl<'p, V: Value> AdjacencyView<'p, V> {
@@ -505,22 +502,11 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
     /// [`crate::plan::MatmulPlan`] traversal, stamped with the
     /// builder's current generation.
     pub fn new(builder: &IncidenceBuilder<V>, pairs: Vec<&'p dyn DynOpPair<V>>) -> Self {
-        Self::with_accumulator(builder, pairs, MultiAccumulator::Spa)
-    }
-
-    /// [`AdjacencyView::new`] with an explicit fused-kernel accumulator
-    /// strategy, reused for every later rebuild and delta traversal.
-    pub fn with_accumulator(
-        builder: &IncidenceBuilder<V>,
-        pairs: Vec<&'p dyn DynOpPair<V>>,
-        acc: MultiAccumulator,
-    ) -> Self {
-        let lanes = rebuild_lanes(builder, &pairs, acc);
+        let lanes = rebuild_lanes(builder, &pairs);
         AdjacencyView {
             pairs,
             lanes,
             generation: builder.generation(),
-            acc,
         }
     }
 
@@ -548,10 +534,12 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
     /// Bring every lane up to the builder's generation.
     ///
     /// Lanes whose `⊕` is associative ([`DynOpPair::plus_associative`])
-    /// replay the pending ordered batches: one fused
-    /// [`spgemm_delta`] traversal per batch feeding those lanes (serial
-    /// or row-parallel by the planner's flops gate), then a row splice
-    /// of the delta into each lane ([`Counter::IncrementalApply`],
+    /// replay the pending ordered batches: per batch, one transpose
+    /// plan of the batch blocks executed over those lanes in a single
+    /// fused traversal (serial or row-parallel by the planner's
+    /// dispatch gate, whose verdict the delta-apply ledger record
+    /// carries; [`Counter::DeltaTraversals`]), then a row splice of the
+    /// delta into each lane ([`Counter::IncrementalApply`],
     /// [`Hist::DeltaApplyNs`]). All other lanes — non-associative `⊕`,
     /// or any refresh crossing an out-of-order batch — are recomputed
     /// from the cumulative incidence in one fused rebuild traversal
@@ -575,16 +563,20 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
             let batches = deltas.as_ref().expect("checked above");
             let inc_pairs: Vec<&dyn DynOpPair<V>> =
                 inc_idx.iter().map(|&i| self.pairs[i]).collect();
+            // Set when any batch's product ran row-parallel.
+            let mut parallel = false;
             let span = journal().span(Stage::DeltaApply, inc_idx.len() as u64);
             for (d_out, d_in) in batches {
                 let t0 = Instant::now();
-                let parallel = would_parallelize(
-                    delta_flops(d_out.csr(), d_in.csr()),
-                    parallel_flops_threshold(),
-                    rayon::current_num_threads(),
-                );
-                let delta_csrs =
-                    spgemm_delta(d_out.csr(), d_in.csr(), &inc_pairs, self.acc, parallel);
+                counters().incr(Counter::DeltaTraversals);
+                // `append_batch` keeps both blocks on the same edge
+                // keys, so the plan's alignment is the no-op fast path.
+                let products = {
+                    let plan = d_out.transpose_matmul_plan(d_in);
+                    let products = plan.execute_all(&inc_pairs);
+                    parallel |= plan.profile().numeric.iter().any(|p| p.parallel);
+                    products
+                };
                 // Every lane has the same vertex key sets, so the union
                 // keys and both placements are computed once per batch
                 // and the key handles are shared by all lanes.
@@ -596,10 +588,10 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
                     let new = Placement::new(&rows, &cols, d_out.col_keys(), d_in.col_keys());
                     (rows, cols, old, new)
                 };
-                for (&lane, delta) in inc_idx.iter().zip(delta_csrs) {
+                for (&lane, delta) in inc_idx.iter().zip(products) {
                     let csr = splice(
                         (self.lanes[lane].csr(), &old),
-                        (&delta, &new),
+                        (delta.csr(), &new),
                         (rows.len(), cols.len()),
                         Some(self.pairs[lane]),
                     );
@@ -609,7 +601,6 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
                 report.batches_applied += 1;
             }
             span.end();
-            crate::matmul::record_pool_stats();
             journal().record(
                 EventKind::DeltaApply,
                 inc_idx.len() as u64,
@@ -620,6 +611,7 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
             if let Some(t) = op.as_mut() {
                 t.set_lanes(inc_idx.len() as u64);
                 t.set_out_nnz(inc_idx.iter().map(|&i| self.lanes[i].nnz() as u64).sum());
+                t.set_dispatch(parallel, rayon::current_num_threads() as u64);
             }
             if let Some(t) = op {
                 t.finish();
@@ -641,7 +633,7 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
             journal().record(EventKind::IncrementalFallback, reb_idx.len() as u64, reason);
             let reb_pairs: Vec<&dyn DynOpPair<V>> =
                 reb_idx.iter().map(|&i| self.pairs[i]).collect();
-            let rebuilt = rebuild_lanes(builder, &reb_pairs, self.acc);
+            let rebuilt = rebuild_lanes(builder, &reb_pairs);
             for (&lane, array) in reb_idx.iter().zip(rebuilt) {
                 self.lanes[lane] = array;
             }
@@ -660,21 +652,11 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
     }
 }
 
-/// The `⊗` terms of `ΔEoutᵀ ⊕.⊗ ΔEin`: each batch edge row pairs its
-/// out-entries with its in-entries. The same estimate the planner's
-/// dispatch gate reads, without materializing the transpose.
-fn delta_flops<V: Value>(d_out: &Csr<V>, d_in: &Csr<V>) -> u64 {
-    (0..d_out.nrows())
-        .map(|k| (d_out.row_nnz(k) * d_in.row_nnz(k)) as u64)
-        .sum()
-}
-
 /// Full `Eᵀout ⊕.⊗ Ein` for the given lanes in one fused traversal,
 /// recording the rebuild latency.
 fn rebuild_lanes<V: Value>(
     builder: &IncidenceBuilder<V>,
     pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
 ) -> Vec<AArray<V>> {
     let span = journal().span(Stage::Rebuild, pairs.len() as u64);
     let plan = adjacency_plan(builder.eout(), builder.ein()).with_generation(builder.generation());
@@ -682,7 +664,7 @@ fn rebuild_lanes<V: Value>(
         !plan.is_stale(builder.generation()),
         "plan stamped at build must match the builder generation"
     );
-    let lanes = plan.execute_all_with(pairs, acc);
+    let lanes = plan.execute_all(pairs);
     histograms().record(Hist::RebuildNs, span.end());
     lanes
 }
@@ -854,6 +836,30 @@ mod tests {
     }
 
     #[test]
+    fn delta_traversals_and_scratch_are_recorded() {
+        use aarray_obs::{memstats, MemRegion};
+        let mm = MaxMin::<Nat>::new();
+        let (e0, i0) = chain_batch(0, 4);
+        let mut b = IncidenceBuilder::new(e0, i0).unwrap();
+        let mut view = AdjacencyView::new(&b, vec![&mm]);
+        for (lo, hi) in [(4, 6), (6, 9), (9, 10)] {
+            let (d_out, d_in) = chain_batch(lo, hi);
+            b.append_batch(d_out, d_in).unwrap();
+        }
+        let before = snapshot();
+        assert_eq!(view.refresh(&b).batches_applied, 3);
+        let d = snapshot().since(&before);
+        // One batch-plan traversal per batch (≥: the registry is
+        // process-global and tests run concurrently).
+        assert!(d.get(Counter::DeltaTraversals) >= 3, "{}", d);
+        assert!(d.get(Counter::PlanTransposeBuilt) >= 3, "{}", d);
+        // The batch plan's transpose and symbolic pattern are accounted
+        // like any plan's.
+        assert!(memstats().peak(MemRegion::PlanTranspose) > 0);
+        assert!(memstats().peak(MemRegion::PlanSymbolic) > 0);
+    }
+
+    #[test]
     fn non_associative_plus_falls_back_to_counted_rebuild() {
         // +.× over NN: float ⊕ is NOT associative — no capability
         // marker, so the lane must take the rebuild path.
@@ -901,7 +907,7 @@ mod tests {
         let mm = MaxMin::<Nat>::new();
         let (e0, i0) = chain_batch(0, 5);
         let mut b = IncidenceBuilder::new(e0, i0).unwrap();
-        let mut view = AdjacencyView::with_accumulator(&b, vec![&ptn, &mm], MultiAccumulator::Hash);
+        let mut view = AdjacencyView::new(&b, vec![&ptn, &mm]);
         let (d_out, d_in) = chain_batch(5, 9);
         b.append_batch(d_out, d_in).unwrap();
         let report = view.refresh(&b);

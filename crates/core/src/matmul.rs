@@ -145,7 +145,7 @@ pub fn publish_pool_stats() {
     record_pool_stats();
 }
 
-/// Shared parallel-dispatch decision for [`AArray::matmul_with`] and
+/// Shared parallel-dispatch decision for [`AArray::matmul`] and
 /// [`crate::plan::MatmulPlan`]. Takes the flops estimate lazily so the
 /// `O(nnz)` estimate is never computed on single-threaded hosts, where
 /// the answer is always "serial". Every decision is recorded in the
@@ -193,22 +193,11 @@ impl<V: Value> AArray<V> {
     /// for `E1ᵀ (⊕.⊗) E2` that is exactly "row keys taken from the
     /// column keys of E1 and column keys taken from the column keys of
     /// E2" (Figure 3's caption).
+    ///
+    /// Runs the one-pair SPA kernel, row-parallel when the flops gate
+    /// says so. It is kept independent of [`crate::plan::MatmulPlan`]
+    /// so that plan results can be checked against a second path.
     pub fn matmul<A, M>(&self, other: &AArray<V>, pair: &OpPair<V, A, M>) -> AArray<V>
-    where
-        A: BinaryOp<V>,
-        M: BinaryOp<V>,
-    {
-        self.matmul_with(other, pair, None)
-    }
-
-    /// [`AArray::matmul`] with an explicit accumulator strategy
-    /// (`None` = automatic: SPA, parallel for large operands).
-    pub fn matmul_with<A, M>(
-        &self,
-        other: &AArray<V>,
-        pair: &OpPair<V, A, M>,
-        acc: Option<Accumulator>,
-    ) -> AArray<V>
     where
         A: BinaryOp<V>,
         M: BinaryOp<V>,
@@ -230,23 +219,25 @@ impl<V: Value> AArray<V> {
             lhs = &aligned.0;
             rhs = &aligned.1;
         }
-        span.end();
-
         // The dispatch fast path may skip the estimate; a ledger op
         // always computes it so the record carries the op's real work
         // figure (ledger ops are rare relative to the O(flops) kernel
-        // they describe), and the dispatch reuses it.
+        // they describe), and the dispatch reuses it. It is a pass over
+        // the aligned operands, so it is billed to align.
         let flops = op.as_ref().map(|_| spgemm_flops(lhs, rhs));
-        let acc = acc.unwrap_or(Accumulator::Spa);
-        let big = should_parallelize(|| flops.unwrap_or_else(|| spgemm_flops(lhs, rhs)));
+        span.end();
+
+        // The numeric stage spans the dispatch decision, the kernel and
+        // the pool accounting of the pass.
         let span = journal().span(Stage::Numeric, flops.unwrap_or(0));
+        let big = should_parallelize(|| flops.unwrap_or_else(|| spgemm_flops(lhs, rhs)));
         let data = if big {
-            spgemm_parallel(lhs, rhs, pair, acc)
+            spgemm_parallel(lhs, rhs, pair, Accumulator::Spa)
         } else {
-            spgemm_with(lhs, rhs, pair, acc)
+            spgemm_with(lhs, rhs, pair, Accumulator::Spa)
         };
-        histograms().record(Hist::NumericPassNs, span.end());
         record_pool_stats();
+        histograms().record(Hist::NumericPassNs, span.end());
 
         if let Some(t) = op.as_mut() {
             t.set_flops(flops.unwrap_or(0));
@@ -374,12 +365,14 @@ mod tests {
             "must cross the dispatch threshold"
         );
 
-        let serial = a.matmul_with(&b, &pair, Some(aarray_sparse::Accumulator::Spa));
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
-        let parallel = pool.install(|| a.matmul(&b, &pair));
+        let pool = |n| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap()
+        };
+        let serial = pool(1).install(|| a.matmul(&b, &pair));
+        let parallel = pool(2).install(|| a.matmul(&b, &pair));
         assert_eq!(serial, parallel);
     }
 
@@ -504,33 +497,5 @@ mod tests {
             Ok(u64::MAX),
             "u64::MAX is a legitimate, pinnable threshold"
         );
-    }
-
-    #[test]
-    fn accumulators_all_agree_via_matmul_with() {
-        use aarray_sparse::Accumulator;
-        let pair = pt();
-        let a = AArray::from_triples(
-            &pair,
-            [
-                ("r1", "k1", Nat(1)),
-                ("r1", "k2", Nat(2)),
-                ("r2", "k2", Nat(3)),
-            ],
-        );
-        let b = AArray::from_triples(
-            &pair,
-            [
-                ("k1", "c1", Nat(4)),
-                ("k2", "c1", Nat(5)),
-                ("k2", "c2", Nat(6)),
-            ],
-        );
-        let c0 = a.matmul_with(&b, &pair, Some(Accumulator::Spa));
-        let c1 = a.matmul_with(&b, &pair, Some(Accumulator::Hash));
-        let c2 = a.matmul_with(&b, &pair, Some(Accumulator::Esc));
-        assert_eq!(c0, c1);
-        assert_eq!(c0, c2);
-        assert_eq!(c0.get("r1", "c1"), Some(&Nat(14)));
     }
 }

@@ -53,9 +53,7 @@ use aarray_obs::{
     counters, histograms, journal, memstats, Counter, EventKind, Hist, MemRegion, MemReservation,
     OpKind, OpToken, Stage,
 };
-use aarray_sparse::spgemm_multi::{
-    spgemm_multi_numeric, spgemm_multi_numeric_parallel, MultiAccumulator,
-};
+use aarray_sparse::spgemm_multi::{spgemm_multi_numeric, spgemm_multi_numeric_parallel};
 use aarray_sparse::symbolic::{spgemm_symbolic, SymbolicProduct};
 use aarray_sparse::{spgemm_flops, Csr};
 use std::sync::OnceLock;
@@ -260,43 +258,30 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
     /// is bit-identical to `execute(pairs[p])` — and to the equivalent
     /// [`AArray::matmul`] — for arbitrary operations.
     pub fn execute_all(&self, pairs: &[&dyn DynOpPair<V>]) -> Vec<AArray<V>> {
-        self.execute_all_with(pairs, MultiAccumulator::Spa)
-    }
-
-    /// [`MatmulPlan::execute_all`] with an explicit slot-lookup
-    /// strategy for the fused kernel.
-    pub fn execute_all_with(
-        &self,
-        pairs: &[&dyn DynOpPair<V>],
-        acc: MultiAccumulator,
-    ) -> Vec<AArray<V>> {
         // Open the ledger op before the symbolic pass so a cold plan's
         // symbolic span lands inside the op's journal window.
         let mut op = OpToken::begin_if_root(OpKind::PlanExecute);
         let sym = self.symbolic();
-        let parallel = should_parallelize(|| self.flops);
-        let acc_name = match acc {
-            MultiAccumulator::Spa => "spa",
-            MultiAccumulator::Hash => "hash",
-        };
         let c = counters();
         c.add(Counter::FlopsTotal, self.flops);
         if self.transposed {
             c.incr(Counter::PlanTransposeReused);
         }
+        // The numeric stage spans the dispatch decision, the fused
+        // traversal and the pool accounting of the pass.
         let span = journal().span(Stage::Numeric, self.flops);
+        let parallel = should_parallelize(|| self.flops);
         let data = if parallel {
-            spgemm_multi_numeric_parallel(sym, &self.lhs, &self.rhs, pairs, acc)
+            spgemm_multi_numeric_parallel(sym, &self.lhs, &self.rhs, pairs)
         } else {
-            spgemm_multi_numeric(sym, &self.lhs, &self.rhs, pairs, acc)
+            spgemm_multi_numeric(sym, &self.lhs, &self.rhs, pairs)
         };
-        let numeric_ns = span.end();
         crate::matmul::record_pool_stats();
+        let numeric_ns = span.end();
         histograms().record(Hist::NumericPassNs, numeric_ns);
         self.profile.record_numeric(NumericPass {
             lanes: pairs.len(),
             parallel,
-            accumulator: acc_name,
             flops: self.flops,
             ns: numeric_ns,
         });
@@ -534,16 +519,14 @@ mod tests {
 
         let _ = plan.execute(&pair);
         let p2 = MaxMin::<Nat>::new();
-        let _ = plan.execute_all_with(&[&pair as &dyn DynOpPair<Nat>, &p2], MultiAccumulator::Hash);
+        let _ = plan.execute_all(&[&pair as &dyn DynOpPair<Nat>, &p2]);
         // The profile is per-plan state, so exact counts are safe even
         // under parallel test execution.
         let ran = plan.profile();
         assert_eq!(ran.symbolic_calls, 1, "one miss, then a memoized hit");
         assert_eq!(ran.numeric.len(), 2);
         assert_eq!(ran.numeric[0].lanes, 1);
-        assert_eq!(ran.numeric[0].accumulator, "spa");
         assert_eq!(ran.numeric[1].lanes, 2);
-        assert_eq!(ran.numeric[1].accumulator, "hash");
         assert_eq!(ran.numeric[0].flops, plan.flops());
         assert!(ran.total_ns() > 0);
     }

@@ -10,7 +10,7 @@
 //!   (transpose-plans only);
 //! * **symbolic** — the algebra-independent sparsity discovery pass;
 //! * **numeric** — each numeric execution, with its lane count,
-//!   accumulator, dispatch branch, and flops.
+//!   dispatch branch, and flops.
 //!
 //! [`StageProfile::report`] snapshots into a [`StageReport`] whose
 //! `Display` renders the per-stage table the repro binary prints under
@@ -49,8 +49,6 @@ pub struct NumericPass {
     pub lanes: usize,
     /// Whether the row-parallel kernel ran.
     pub parallel: bool,
-    /// Slot-lookup strategy (`"spa"` / `"hash"`).
-    pub accumulator: &'static str,
     /// The `⊗`-term count of the traversal.
     pub flops: u64,
     /// Wall-clock nanoseconds.
@@ -156,8 +154,8 @@ impl StageReport {
                 s.push(',');
             }
             s.push_str(&format!(
-                "{{\"lanes\":{},\"parallel\":{},\"accumulator\":\"{}\",\"flops\":{},\"ns\":{}}}",
-                p.lanes, p.parallel, p.accumulator, p.flops, p.ns
+                "{{\"lanes\":{},\"parallel\":{},\"flops\":{},\"ns\":{}}}",
+                p.lanes, p.parallel, p.flops, p.ns
             ));
         }
         s.push_str(&format!("],\"total_ns\":{}}}", self.total_ns()));
@@ -191,13 +189,12 @@ impl fmt::Display for StageReport {
         for (i, p) in self.numeric.iter().enumerate() {
             writeln!(
                 f,
-                "{:<12} {:>6} {:>12}  {} lane{} · {} · {} · {} flops",
+                "{:<12} {:>6} {:>12}  {} lane{} · {} · {} flops",
                 format!("numeric[{}]", i),
                 1,
                 fmt_ns(p.ns),
                 p.lanes,
                 if p.lanes == 1 { "" } else { "s" },
-                p.accumulator,
                 if p.parallel { "parallel" } else { "serial" },
                 p.flops,
             )?;
@@ -226,7 +223,6 @@ mod tests {
         p.record_numeric(NumericPass {
             lanes: 6,
             parallel: false,
-            accumulator: "spa",
             flops: 120,
             ns: 7_000,
         });
@@ -237,11 +233,7 @@ mod tests {
         assert_eq!(r.total_ns(), 10_000 + 2_000 + 3_000 + 7_000);
         let table = r.to_string();
         assert!(table.contains("align"), "{}", table);
-        assert!(
-            table.contains("6 lanes · spa · serial · 120 flops"),
-            "{}",
-            table
-        );
+        assert!(table.contains("6 lanes · serial · 120 flops"), "{}", table);
         assert!(table.contains("total"), "{}", table);
     }
 
@@ -252,7 +244,6 @@ mod tests {
         p.record_numeric(NumericPass {
             lanes: 2,
             parallel: true,
-            accumulator: "hash",
             flops: 42,
             ns: 9_000,
         });
@@ -261,10 +252,7 @@ mod tests {
         assert!(j.contains("\"align\":{\"calls\":1,\"ns\":5000}"), "{}", j);
         assert!(j.contains("\"transpose\":{\"calls\":0,\"ns\":0}"), "{}", j);
         assert!(
-            j.contains(
-                "{\"lanes\":2,\"parallel\":true,\"accumulator\":\"hash\",\
-                 \"flops\":42,\"ns\":9000}"
-            ),
+            j.contains("{\"lanes\":2,\"parallel\":true,\"flops\":42,\"ns\":9000}"),
             "{}",
             j
         );

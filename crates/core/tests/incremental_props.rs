@@ -357,3 +357,74 @@ proptest! {
         prop_assert!(count(IntersectDisjointRange) > before);
     }
 }
+
+/// A delta-apply ledger record carries the dispatch verdict of the
+/// batch plans it ran, and each batch makes exactly one recorded
+/// dispatch decision. Run under `AARRAY_NUM_THREADS=2` with
+/// `AARRAY_PAR_FLOPS_THRESHOLD=1` the verdict must read "parallel";
+/// on a 1-thread pool, or under the default threshold (these batches
+/// fold 3 terms each), it must read "serial".
+#[test]
+fn delta_apply_record_carries_the_plan_dispatch() {
+    use aarray_obs::{intern_label, journal, oplog, workload_label, EventKind, OpKind};
+
+    let max_min = MaxMin::<NN>::new();
+    let chain = |lo: usize, hi: usize| {
+        let trips = |shift: usize| -> Vec<(usize, usize, u32)> {
+            (lo..hi).map(|i| (i, (i + shift) % N_VERTS, 1)).collect()
+        };
+        (block(&trips(0), lo, hi), block(&trips(1), lo, hi))
+    };
+    let (e0, i0) = chain(0, 3);
+    let mut builder = IncidenceBuilder::new(e0, i0).unwrap();
+    let mut view = AdjacencyView::new(&builder, vec![&max_min as &dyn DynOpPair<NN>]);
+    for (lo, hi) in [(3, 6), (6, 9)] {
+        let (d_out, d_in) = chain(lo, hi);
+        builder.append_batch(d_out, d_in).unwrap();
+    }
+
+    let label = "delta-dispatch-probe";
+    let cursor = oplog().cursor();
+    {
+        let _label = workload_label(label);
+        let report = view.refresh(&builder);
+        assert_eq!((report.incremental_lanes, report.batches_applied), (1, 2));
+    }
+
+    let snap = oplog().snapshot();
+    let label_id = intern_label(label);
+    let records: Vec<_> = snap
+        .since(cursor)
+        .iter()
+        .filter(|r| r.label == label_id && r.kind == OpKind::DeltaApply)
+        .collect();
+    assert_eq!(records.len(), 1, "one refresh, one delta-apply record");
+    let r = records[0];
+
+    let threads = rayon::current_num_threads();
+    let expect_parallel =
+        aarray_core::would_parallelize(3, aarray_core::parallel_flops_threshold(), threads);
+    let verdict = |p: bool| if p { "parallel" } else { "serial" };
+    assert_eq!(
+        verdict(r.parallel),
+        verdict(expect_parallel),
+        "{} threads, threshold {}: {:?}",
+        threads,
+        aarray_core::parallel_flops_threshold(),
+        r
+    );
+    assert_eq!(r.pool_threads, threads as u64, "{:?}", r);
+
+    let decisions = journal()
+        .scan_window(r.seq_start, r.seq_end)
+        .iter()
+        .filter(|e| e.op == r.id)
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::DispatchSerial | EventKind::DispatchParallel
+            )
+        })
+        .count();
+    assert_eq!(decisions, 2, "one recorded dispatch decision per batch");
+}

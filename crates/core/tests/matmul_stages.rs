@@ -1,6 +1,8 @@
 //! Stage attribution of a one-shot `AArray::matmul`: the op-ledger
 //! record of a serial one-shot product must carry its align and numeric
-//! spans, and those spans must fit inside the op's wall time.
+//! spans, and those spans must fit inside the op's wall time and cover
+//! nearly all of it. Align includes the flops estimate; numeric
+//! includes the dispatch decision and the pool accounting.
 //!
 //! One test function on purpose: the pool size is fixed by
 //! `AARRAY_NUM_THREADS` at first use, and integration-test binaries get
@@ -65,4 +67,13 @@ fn serial_one_shot_matmul_attributes_align_and_numeric() {
     assert!(r.align_ns > 0, "align span missing: {:?}", r);
     assert!(r.numeric_ns > 0, "numeric span missing: {:?}", r);
     assert!(r.stage_sum_ns() <= r.wall_ns, "stages exceed wall: {:?}", r);
+    // Cold runs measured 0.956–0.992 (debug) and 0.966–0.986 (release)
+    // on a 2-core x86-64 host; the floor leaves room for a slow host.
+    let coverage = r.stage_sum_ns() as f64 / r.wall_ns.max(1) as f64;
+    assert!(
+        coverage >= 0.93,
+        "stages cover {:.3} of wall: {:?}",
+        coverage,
+        r
+    );
 }

@@ -213,8 +213,8 @@ impl TimelineSummary {
 pub struct DecisionTallies {
     /// One-pair kernels by accumulator: `[spa, hash, esc]`.
     pub kernel: [u64; 3],
-    /// Fused traversals by accumulator: `[spa, hash]`.
-    pub fused: [u64; 2],
+    /// Fused traversals (all SPA: the fused kernel's one slot lookup).
+    pub fused: u64,
     /// Serial dispatch verdicts.
     pub dispatch_serial: u64,
     /// Parallel dispatch verdicts.
@@ -241,11 +241,7 @@ pub fn decision_tallies(events: &[Event]) -> DecisionTallies {
                     *k += 1;
                 }
             }
-            EventKind::FusedChoice => {
-                if let Some(f) = t.fused.get_mut(e.a as usize) {
-                    *f += 1;
-                }
-            }
+            EventKind::FusedChoice => t.fused += 1,
             EventKind::DispatchSerial => t.dispatch_serial += 1,
             EventKind::DispatchParallel => t.dispatch_parallel += 1,
             EventKind::PlanCacheHit => t.plan_hits += 1,
@@ -279,14 +275,12 @@ impl DecisionTallies {
                 ));
             }
         }
-        for (code, &n) in self.fused.iter().enumerate() {
-            if n > 0 {
-                out.push_str(&format!(
-                    "  fused accumulator {:<25} {:>8}\n",
-                    accumulator_name(code as u64),
-                    n
-                ));
-            }
+        if self.fused > 0 {
+            out.push_str(&format!(
+                "  fused accumulator {:<25} {:>8}\n",
+                accumulator_name(0),
+                self.fused
+            ));
         }
         out.push_str(&format!(
             "  dispatch serial / parallel          {:>8} / {}\n",
@@ -641,7 +635,7 @@ mod tests {
         let snap = j.snapshot();
         let t = decision_tallies(&snap.events);
         assert_eq!(t.kernel, [1, 0, 0]);
-        assert_eq!(t.fused, [1, 0]);
+        assert_eq!(t.fused, 1);
         assert_eq!((t.dispatch_serial, t.dispatch_parallel), (1, 1));
         assert_eq!((t.plan_hits, t.plan_misses), (1, 1));
         assert_eq!((t.delta_lanes, t.delta_batches), (5, 2));

@@ -12,9 +12,9 @@
 //!    them (signed) until ≥ 90% of the wall delta is explained or the
 //!    contributors run out;
 //! 3. inspects decision-counter pairs (serial↔parallel dispatch,
-//!    plan-cache hit rates, Spa↔Hash accumulator selection,
-//!    delta-apply↔rebuild fallback, pool task placement) for *flips* —
-//!    rate shifts ≥ 10 points — and annotates the stages they land in.
+//!    plan-cache hit rates, delta-apply↔rebuild fallback, pool task
+//!    placement) for *flips* — rate shifts ≥ 10 points — and
+//!    annotates the stages they land in.
 //!
 //! The human rendering is a ranked table; `--json` emits the same
 //! verdict as a schema-versioned machine document.
@@ -220,7 +220,7 @@ pub struct DiffReport {
 /// The decision pairs flip detection inspects: first member, second
 /// member, human label. Stage attribution comes from
 /// [`DECISION_COUNTERS`].
-const FLIP_PAIRS: [(&str, &str, &str); 6] = [
+const FLIP_PAIRS: [(&str, &str, &str); 5] = [
     (
         "dispatch.serial",
         "dispatch.parallel",
@@ -236,7 +236,6 @@ const FLIP_PAIRS: [(&str, &str, &str); 6] = [
         "plan.transpose-built",
         "plan-cache transpose reuse-rate",
     ),
-    ("fused.spa", "fused.hash", "accumulator Spa↔Hash"),
     (
         "incremental.apply",
         "incremental.fallback",

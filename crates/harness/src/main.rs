@@ -72,8 +72,8 @@
 //! v3/v4 observatory files, or legacy single-figure baselines — and
 //! attributes their wall-time delta to ranked per-stage contributors
 //! (until ≥ 90% is explained) annotated with decision flips
-//! (serial↔parallel dispatch, plan-cache hit rates, Spa↔Hash
-//! accumulator selection, delta-apply↔rebuild fallback).
+//! (serial↔parallel dispatch, plan-cache hit rates,
+//! delta-apply↔rebuild fallback).
 //!
 //! `history` ingests every committed `BENCH_pr*.json` lineage shape —
 //! legacy PR1/PR2, v3/v4 observatory, the parbench matrix (1-thread

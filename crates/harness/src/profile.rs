@@ -4,7 +4,7 @@
 //! attribution layer (`obsctl diff`) wants from one run in a single
 //! schema-versioned document: the per-workload stage medians the bench
 //! file also carries, the counter delta, the decision tallies
-//! (dispatch verdicts, plan-cache hits, accumulator choices, fallback
+//! (dispatch verdicts, plan-cache hits, fused traversals, fallback
 //! codes, pool task accounting), and the op ledger's per-kind
 //! union-of-interval stage totals. A profile is strictly richer than a
 //! bench file; `diff` accepts either and normalizes both.
@@ -18,7 +18,7 @@ pub const PROFILE_SCHEMA_VERSION: u64 = 1;
 /// The decision counters differential profiling attributes flips to,
 /// with the stage each decision's cost lands in. Order is emission
 /// order in the profile's `"decisions"` object.
-pub const DECISION_COUNTERS: [(Counter, &str, &str); 16] = [
+pub const DECISION_COUNTERS: [(Counter, &str, &str); 15] = [
     (Counter::DispatchSerial, "dispatch.serial", "numeric"),
     (Counter::DispatchParallel, "dispatch.parallel", "numeric"),
     (Counter::PlanSymbolicHit, "plan.symbolic-hit", "symbolic"),
@@ -34,7 +34,6 @@ pub const DECISION_COUNTERS: [(Counter, &str, &str); 16] = [
         "transpose",
     ),
     (Counter::FusedSpa, "fused.spa", "numeric"),
-    (Counter::FusedHash, "fused.hash", "numeric"),
     (Counter::IncrementalApply, "incremental.apply", "numeric"),
     (
         Counter::IncrementalFallback,
@@ -228,11 +227,7 @@ mod tests {
         let fused = parsed
             .path(&["decisions", "fused.spa", "count"])
             .and_then(crate::json::Value::as_u64)
-            .unwrap_or(0)
-            + parsed
-                .path(&["decisions", "fused.hash", "count"])
-                .and_then(crate::json::Value::as_u64)
-                .unwrap_or(0);
+            .unwrap_or(0);
         assert!(fused >= 1, "fused decision tallies must be live");
         let w = parsed.get("workloads").unwrap().as_arr().unwrap();
         assert_eq!(w[0].get("name").unwrap().as_str(), Some("fig3"));

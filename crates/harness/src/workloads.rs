@@ -175,8 +175,8 @@ pub fn run_workload(figure: Figure, rows: usize, reps: usize) -> WorkloadRun {
 /// synthetic edge rows arrive as an appended batch, and the same five
 /// associative-`⊕` NN lanes (`max.×`, `min.×`, `min.+`, `max.min`,
 /// `min.max`) are brought current twice — once incrementally
-/// (`IncidenceBuilder::append_batch` + `AdjacencyView::refresh`, the
-/// delta-SpGEMM path) and once by a full fused rebuild of the
+/// (`IncidenceBuilder::append_batch` + `AdjacencyView::refresh`, one
+/// batch plan per append) and once by a full fused rebuild of the
 /// cumulative incidence. Both are returned as workload entries
 /// (`stream-incr`, `stream-rebuild`); the acceptance figure is the
 /// ratio of their `total` medians.
@@ -185,8 +185,9 @@ pub fn run_workload(figure: Figure, rows: usize, reps: usize) -> WorkloadRun {
 /// union growth) plus any alignment the refresh ops recorded;
 /// `transpose`/`symbolic`/`numeric` come from the op ledger's
 /// union-of-interval stage slots summed over the refresh's own ops
-/// (delta-apply time folds into `numeric` — it is numeric work on the
-/// delta product); `total` = the refresh stopwatch; `wall` = append +
+/// (delta-apply time, which covers each batch plan's own transpose,
+/// symbolic and numeric spans and the splices, folds into `numeric`);
+/// `total` = the refresh stopwatch; `wall` = append +
 /// refresh. For `stream-rebuild` the stages are the rebuild plan's own
 /// [`StageReport`](aarray_core::StageReport) (`total` = its stage sum,
 /// `wall` = the rebuild stopwatch), so `numeric`, `total`, and `wall`

@@ -65,10 +65,9 @@ pub enum Counter {
     FusedTraversals,
     /// Total accumulator lanes across fused traversals.
     FusedLanes,
-    /// Fused traversals using the SPA slot lookup.
+    /// Fused traversals using the SPA slot lookup (every fused
+    /// traversal: it is the fused kernel's only slot lookup).
     FusedSpa,
-    /// Fused traversals using the hash slot lookup.
-    FusedHash,
     /// Fused traversals that ran row-parallel.
     FusedParallel,
     /// Cumulative `⊗`-term count of executed products (where the
@@ -87,8 +86,8 @@ pub enum Counter {
     IncrementalBatches,
     /// Edges appended across all batches.
     IncrementalEdges,
-    /// Delta SpGEMM traversals executed (one per refresh that took the
-    /// incremental path, covering all fused lanes).
+    /// Batch products executed by incremental refresh: one per
+    /// replayed batch, covering all delta lanes in one fused traversal.
     DeltaTraversals,
     /// Thread-pool chunks executed by the worker owning their deque
     /// slot (or inline when no fan-out happened).
@@ -157,7 +156,6 @@ pub const COUNTER_NAMES: [(Counter, &str); N_COUNTERS] = [
     (Counter::FusedTraversals, "fused.traversals"),
     (Counter::FusedLanes, "fused.lanes"),
     (Counter::FusedSpa, "fused.spa"),
-    (Counter::FusedHash, "fused.hash"),
     (Counter::FusedParallel, "fused.parallel"),
     (Counter::FlopsTotal, "flops.total"),
     (Counter::EnvParseError, "env.parse-error"),

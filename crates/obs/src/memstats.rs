@@ -41,8 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum MemRegion {
     /// Dense SPA scratchpads of the one-pair kernels (slots + touched).
     SpaScratch,
-    /// Transient per-row hash accumulators (one-pair and fused hash
-    /// modes).
+    /// Transient per-row hash accumulators of the one-pair kernels.
     HashScratch,
     /// Fused kernel scratch: the column→slot map plus the K-lane
     /// structure-of-arrays accumulator block (high-water capacity).
@@ -53,12 +52,9 @@ pub enum MemRegion {
     PlanSymbolic,
     /// Interned key-set string storage (shared `Arc` buffers).
     KeySetInterned,
-    /// Delta SpGEMM scratch: batch transposes and per-refresh fused
-    /// accumulator state of the incremental adjacency layer.
-    DeltaScratch,
 }
 
-const N_REGIONS: usize = MemRegion::DeltaScratch as usize + 1;
+const N_REGIONS: usize = MemRegion::KeySetInterned as usize + 1;
 
 /// Every region with its report label, in enum order.
 pub const MEM_REGION_NAMES: [(MemRegion, &str); N_REGIONS] = [
@@ -68,7 +64,6 @@ pub const MEM_REGION_NAMES: [(MemRegion, &str); N_REGIONS] = [
     (MemRegion::PlanTranspose, "mem.plan-transpose"),
     (MemRegion::PlanSymbolic, "mem.plan-symbolic"),
     (MemRegion::KeySetInterned, "mem.keyset-interned"),
-    (MemRegion::DeltaScratch, "mem.delta-scratch"),
 ];
 
 /// The process-wide accounting table. Obtain via [`memstats`].
@@ -320,7 +315,7 @@ mod tests {
         // A dedicated table (same code, not the global) so concurrent
         // tests cannot perturb the exact arithmetic.
         static LOCAL: MemStats = MemStats::new();
-        let r = MemRegion::DeltaScratch;
+        let r = MemRegion::PlanTranspose;
         let threads = 8u64;
         let rounds = 200u64;
         let bytes = 1 << 10;

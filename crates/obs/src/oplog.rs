@@ -73,7 +73,7 @@ pub enum OpKind {
     /// A direct one-shot kernel invocation (`spgemm` / `spgemm_multi`)
     /// not reached through a plan or matmul wrapper.
     Kernel,
-    /// Incremental refresh bringing lanes current via delta SpGEMM.
+    /// Incremental refresh bringing lanes current via batch products.
     DeltaApply,
     /// Incremental refresh falling back to a full lane rebuild.
     Rebuild,
@@ -824,11 +824,10 @@ impl OpsReport {
 // The call-site token.
 
 /// Scratch regions whose peak growth is attributed to the op.
-const SCRATCH_REGIONS: [MemRegion; 4] = [
+const SCRATCH_REGIONS: [MemRegion; 3] = [
     MemRegion::SpaScratch,
     MemRegion::HashScratch,
     MemRegion::FusedAccumulator,
-    MemRegion::DeltaScratch,
 ];
 
 fn scratch_peak_total() -> u64 {
@@ -985,11 +984,13 @@ fn overlap_len(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
 /// matched spans are merged into a disjoint interval union across
 /// threads, so a parallel numeric pass — plan-level span plus
 /// per-chunk spans on worker threads — counts its covered time once,
-/// not once per chunk. Numeric time already inside a delta-apply span
-/// stays attributed to delta-apply, and the rebuild envelope span is
-/// ignored (its interior align/symbolic/numeric spans fill the slots),
-/// so the five slots stay close to disjoint and their sum tracks the
-/// op's wall time.
+/// not once per chunk. One rule keeps delta-apply whole: time any
+/// align/transpose/symbolic/numeric span covers inside a delta-apply
+/// span is delta-apply time (the batch product runs a full plan in
+/// there) and is left out of that stage's slot. The rebuild envelope
+/// span is ignored (its interior spans fill the slots), so the five
+/// slots stay close to disjoint and their sum tracks the op's wall
+/// time.
 pub(crate) fn stage_breakdown(events: &[Event], op: u64) -> [u64; N_STAGE_SLOTS] {
     let mut stacks: std::collections::BTreeMap<u64, Vec<(u64, u64)>> =
         std::collections::BTreeMap::new(); // tid -> stack of (stage, start_ts)
@@ -1012,12 +1013,16 @@ pub(crate) fn stage_breakdown(events: &[Event], op: u64) -> [u64; N_STAGE_SLOTS]
     }
     let merged: Vec<Vec<(u64, u64)>> = intervals.into_iter().map(merge_intervals).collect();
     let delta = &merged[Stage::DeltaApply as usize];
-    let numeric = &merged[Stage::Numeric as usize];
     let mut out = [0u64; N_STAGE_SLOTS];
-    out[Stage::Align as usize] = total_len(&merged[Stage::Align as usize]);
-    out[Stage::Transpose as usize] = total_len(&merged[Stage::Transpose as usize]);
-    out[Stage::Symbolic as usize] = total_len(&merged[Stage::Symbolic as usize]);
-    out[Stage::Numeric as usize] = total_len(numeric).saturating_sub(overlap_len(numeric, delta));
+    for stage in [
+        Stage::Align,
+        Stage::Transpose,
+        Stage::Symbolic,
+        Stage::Numeric,
+    ] {
+        let iv = &merged[stage as usize];
+        out[stage as usize] = total_len(iv).saturating_sub(overlap_len(iv, delta));
+    }
     out[Stage::DeltaApply as usize] = total_len(delta);
     out
 }
@@ -1231,6 +1236,30 @@ mod tests {
         let s = stage_breakdown(&events, 9);
         assert_eq!(s[Stage::DeltaApply as usize], 100);
         assert_eq!(s[Stage::Numeric as usize], 0);
+
+        // So do the transpose and symbolic spans of the batch plan run
+        // inside delta-apply: the slots sum to the envelope's 100 ns,
+        // not 100 + 20 + 15 + 40. A transpose span outside the
+        // envelope keeps its own slot.
+        let (tr, sym) = (Stage::Transpose as u64, Stage::Symbolic as u64);
+        let events = [
+            ev(0, 0, 1, StageBegin, tr, 10),
+            ev(1, 30, 1, StageEnd, tr, 10),
+            ev(2, 100, 1, StageBegin, delta, 10),
+            ev(3, 110, 1, StageBegin, tr, 10),
+            ev(4, 130, 1, StageEnd, tr, 10),
+            ev(5, 135, 1, StageBegin, sym, 10),
+            ev(6, 150, 1, StageEnd, sym, 10),
+            ev(7, 155, 1, StageBegin, num, 10),
+            ev(8, 195, 1, StageEnd, num, 10),
+            ev(9, 200, 1, StageEnd, delta, 10),
+        ];
+        let s = stage_breakdown(&events, 10);
+        assert_eq!(s[Stage::DeltaApply as usize], 100);
+        assert_eq!(s[Stage::Transpose as usize], 30);
+        assert_eq!(s[Stage::Symbolic as usize], 0);
+        assert_eq!(s[Stage::Numeric as usize], 0);
+        assert_eq!(s.iter().sum::<u64>(), 130, "no stage time billed twice");
 
         // Guarded spans attribute exactly like the raw pairs above:
         // each slot equals the lengths the guards returned, a dropped

@@ -33,9 +33,8 @@ fn figure3_counter_deltas_match_the_planned_workload() {
     assert_eq!(delta.get(Counter::DispatchSerial), 3, "{}", delta);
     assert_eq!(delta.get(Counter::DispatchParallel), 0, "{}", delta);
 
-    // The fused path defaults to the SPA accumulator everywhere.
+    // SPA is the fused kernel's one slot lookup: every traversal.
     assert_eq!(delta.get(Counter::FusedSpa), 3, "{}", delta);
-    assert_eq!(delta.get(Counter::FusedHash), 0, "{}", delta);
 
     assert!(delta.get(Counter::FlopsTotal) > 0, "{}", delta);
 }

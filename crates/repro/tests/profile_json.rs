@@ -38,7 +38,7 @@ fn profile_json_captures_stage_tables_and_counter_deltas() {
     // Each figure runs 3 fused traversals; deltas elide zero counters.
     assert!(doc.contains("\"fused.traversals\":3"), "{}", doc);
     assert!(
-        !doc.contains("\"fused.hash\""),
+        !doc.contains("\"kernel.esc\""),
         "zero deltas elided: {}",
         doc
     );

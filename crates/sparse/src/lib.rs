@@ -59,7 +59,6 @@ pub mod mask;
 pub mod permute;
 pub mod reduce;
 pub mod spgemm;
-pub mod spgemm_delta;
 pub mod spgemm_multi;
 pub mod spmv;
 pub mod symbolic;

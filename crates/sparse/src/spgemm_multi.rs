@@ -14,7 +14,10 @@
 //! 2. a single **numeric** traversal walks `A`'s rows and `B`'s rows
 //!    once, and for every contributing `(i, k, j)` coordinate feeds
 //!    all `K` accumulators, laid out structure-of-arrays
-//!    (`accs[p * nslots + slot]`, one contiguous lane per pair).
+//!    (`accs[p * nslots + slot]`, one contiguous lane per pair). A
+//!    column finds its slot through one dense `O(ncols)` map (SPA
+//!    style); the symbolic pattern already gives each row's exact
+//!    sorted slots, so no other lookup strategy is needed.
 //!
 //! Heterogeneous pairs are handled through the object-safe
 //! [`DynOpPair`] adapter, so one call can mix `+.×`, `max.min`,
@@ -38,25 +41,7 @@ use aarray_obs::{
     EventKind, Hist, MemRegion, MemReservation, OpKind, OpToken, Stage,
 };
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::mem::size_of;
-
-/// Per-row slot-lookup strategy for the fused numeric traversal.
-///
-/// Mirrors the SPA/Hash split of [`crate::spgemm::Accumulator`] (there
-/// is no ESC variant: the symbolic pattern already provides exact
-/// sorted slots, which is precisely what expand-sort-compress would
-/// rediscover per row).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MultiAccumulator {
-    /// Dense `O(ncols)` column→slot scratchpad, reset via the touched
-    /// slots only. Best when output rows are dense-ish or `ncols` is
-    /// moderate.
-    Spa,
-    /// Hash map column→slot built per row. Best for very wide, very
-    /// sparse outputs where an `O(ncols)` scratch is wasteful.
-    Hash,
-}
 
 /// Fused `K`-pair product: `[A ⊕_p.⊗_p B for p in pairs]` with one
 /// symbolic pass and one numeric traversal.
@@ -64,12 +49,7 @@ pub enum MultiAccumulator {
 /// Returns one `Csr` per pair, in order. Each output is bit-identical
 /// to the corresponding sequential [`crate::spgemm::spgemm_with`]
 /// call. Panics if `A.ncols() != B.nrows()`.
-pub fn spgemm_multi<V: Value>(
-    a: &Csr<V>,
-    b: &Csr<V>,
-    pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
-) -> Vec<Csr<V>> {
+pub fn spgemm_multi<V: Value>(a: &Csr<V>, b: &Csr<V>, pairs: &[&dyn DynOpPair<V>]) -> Vec<Csr<V>> {
     // Token opens before the symbolic pass so its span lands inside
     // the op's journal window.
     let mut op = OpToken::begin_if_root(OpKind::Kernel);
@@ -79,7 +59,7 @@ pub fn spgemm_multi<V: Value>(
         t.set_dispatch(false, 1);
     }
     let sym = spgemm_symbolic(a, b);
-    let outs = spgemm_multi_numeric(&sym, a, b, pairs, acc);
+    let outs = spgemm_multi_numeric(&sym, a, b, pairs);
     if let Some(mut t) = op {
         t.set_out_nnz(outs.iter().map(|c| c.nnz() as u64).sum());
         t.finish();
@@ -96,7 +76,6 @@ pub fn spgemm_multi_parallel<V: Value>(
     a: &Csr<V>,
     b: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
 ) -> Vec<Csr<V>> {
     let mut op = OpToken::begin_if_root(OpKind::Kernel);
     if let Some(t) = op.as_mut() {
@@ -105,7 +84,7 @@ pub fn spgemm_multi_parallel<V: Value>(
         t.set_dispatch(true, rayon::current_num_threads() as u64);
     }
     let sym = spgemm_symbolic(a, b);
-    let outs = spgemm_multi_numeric_parallel(&sym, a, b, pairs, acc);
+    let outs = spgemm_multi_numeric_parallel(&sym, a, b, pairs);
     if let Some(mut t) = op {
         t.set_out_nnz(outs.iter().map(|c| c.nnz() as u64).sum());
         t.finish();
@@ -114,17 +93,15 @@ pub fn spgemm_multi_parallel<V: Value>(
 }
 
 /// Record one fused numeric traversal in the global counter registry:
-/// the traversal itself, how many lanes it fed, the slot-lookup
-/// strategy, and whether the row-parallel driver ran — plus the
-/// matching explain event (payload `b` packs `lanes << 1 | parallel`).
-fn record_fused(nlanes: usize, acc: MultiAccumulator, parallel: bool) {
+/// the traversal itself, how many lanes it fed, its (SPA) slot lookup,
+/// and whether the row-parallel path ran — plus the matching explain
+/// event (`a` = accumulator code 0, spa; `b` packs
+/// `lanes << 1 | parallel`).
+fn record_fused(nlanes: usize, parallel: bool) {
     let c = counters();
     c.incr(Counter::FusedTraversals);
     c.add(Counter::FusedLanes, nlanes as u64);
-    c.incr(match acc {
-        MultiAccumulator::Spa => Counter::FusedSpa,
-        MultiAccumulator::Hash => Counter::FusedHash,
-    });
+    c.incr(Counter::FusedSpa);
     if parallel {
         c.incr(Counter::FusedParallel);
     } else {
@@ -133,13 +110,9 @@ fn record_fused(nlanes: usize, acc: MultiAccumulator, parallel: bool) {
         // next to a zero `pool.tasks-local`.
         c.incr(Counter::PoolTasksInline);
     }
-    let acc_code = match acc {
-        MultiAccumulator::Spa => 0,
-        MultiAccumulator::Hash => 1,
-    };
     journal().record(
         EventKind::FusedChoice,
-        acc_code,
+        0,
         ((nlanes as u64) << 1) | parallel as u64,
     );
 }
@@ -169,17 +142,16 @@ pub fn spgemm_multi_numeric<V: Value>(
     a: &Csr<V>,
     b: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
 ) -> Vec<Csr<V>> {
     check_dims(sym, a, b);
-    record_fused(pairs.len(), acc, false);
+    record_fused(pairs.len(), false);
     let npairs = pairs.len();
 
     let mut outs: Vec<RowsOut<V>> = (0..npairs).map(|_| RowsOut::with_rows(a.nrows())).collect();
     let mut scratch = MultiScratch::new(b.ncols());
     let mut row_out: Vec<Vec<(u32, V)>> = vec![Vec::new(); npairs];
     for i in 0..a.nrows() {
-        multiply_row_multi(a, b, pairs, acc, i, sym.row(i), &mut scratch, &mut row_out);
+        multiply_row_multi(a, b, pairs, i, sym.row(i), &mut scratch, &mut row_out);
         for (p, rows) in row_out.iter_mut().enumerate() {
             outs[p].push_row(i, rows.drain(..));
         }
@@ -197,10 +169,9 @@ pub fn spgemm_multi_numeric_parallel<V: Value>(
     a: &Csr<V>,
     b: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
 ) -> Vec<Csr<V>> {
     check_dims(sym, a, b);
-    record_fused(pairs.len(), acc, true);
+    record_fused(pairs.len(), true);
     let npairs = pairs.len();
 
     // Explicit contiguous row chunks: one scratch per chunk (the old
@@ -228,7 +199,7 @@ pub fn spgemm_multi_numeric_parallel<V: Value>(
             let mut rows = Vec::with_capacity(range.len());
             for i in range.clone() {
                 let mut row_out: Vec<Vec<(u32, V)>> = vec![Vec::new(); npairs];
-                multiply_row_multi(a, b, pairs, acc, i, sym.row(i), &mut scratch, &mut row_out);
+                multiply_row_multi(a, b, pairs, i, sym.row(i), &mut scratch, &mut row_out);
                 rows.push(row_out);
             }
             rows
@@ -314,7 +285,6 @@ fn multiply_row_multi<V: Value>(
     a: &Csr<V>,
     b: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
     i: usize,
     srow: &[u32],
     scratch: &mut MultiScratch<V>,
@@ -336,24 +306,12 @@ fn multiply_row_multi<V: Value>(
     }
     let MultiScratch { slot_of, accs, .. } = scratch;
 
-    match acc {
-        MultiAccumulator::Spa => {
-            for (slot, &j) in srow.iter().enumerate() {
-                slot_of[j as usize] = slot;
-            }
-            fuse_row_terms(a, b, pairs, i, nslots, accs, |j| slot_of[j as usize]);
-            for &j in srow {
-                slot_of[j as usize] = usize::MAX;
-            }
-        }
-        MultiAccumulator::Hash => {
-            let map: HashMap<u32, usize> = srow.iter().enumerate().map(|(s, &j)| (j, s)).collect();
-            memstats().record_transient(
-                MemRegion::HashScratch,
-                (map.capacity() * (size_of::<(u32, usize)>() + size_of::<u64>())) as u64,
-            );
-            fuse_row_terms(a, b, pairs, i, nslots, accs, |j| map[&j]);
-        }
+    for (slot, &j) in srow.iter().enumerate() {
+        slot_of[j as usize] = slot;
+    }
+    fuse_row_terms(a, b, pairs, i, nslots, slot_of, accs);
+    for &j in srow {
+        slot_of[j as usize] = usize::MAX;
     }
 
     // Emit each lane in slot (= ascending column) order, pruning the
@@ -381,22 +339,22 @@ fn multiply_row_multi<V: Value>(
 
 /// The shared traversal: for every contributing `(k, j)` term of row
 /// `i`, apply all `K` pairs and fold left-associated (ascending `k`)
-/// into the SoA accumulator block. `lookup` resolves a column to its
-/// slot under the active strategy (dense scratch or per-row hash map).
+/// into the SoA accumulator block. `slot_of` maps each column of row
+/// `i`'s symbolic pattern to its slot.
 fn fuse_row_terms<V: Value>(
     a: &Csr<V>,
     b: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
     i: usize,
     nslots: usize,
+    slot_of: &[usize],
     accs: &mut [Option<V>],
-    lookup: impl Fn(u32) -> usize,
 ) {
     let (ks, avs) = a.row(i);
     for (&k, av) in ks.iter().zip(avs.iter()) {
         let (js, bvs) = b.row(k as usize);
         for (&j, bv) in js.iter().zip(bvs.iter()) {
-            let slot = lookup(j);
+            let slot = slot_of[j as usize];
             debug_assert!(slot < nslots, "numeric term outside symbolic pattern");
             for (p, pair) in pairs.iter().enumerate() {
                 let cell = &mut accs[p * nslots + slot];
@@ -470,14 +428,12 @@ mod tests {
         let mp = MaxPlus::<Nat>::new();
         let np = MinPlus::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt, &mm, &mp, &np];
-        for acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            let fused = spgemm_multi(&a, &b, &pairs, acc);
-            assert_eq!(fused.len(), 4);
-            assert_eq!(fused[0], spgemm_with(&a, &b, &pt, Accumulator::Spa));
-            assert_eq!(fused[1], spgemm_with(&a, &b, &mm, Accumulator::Spa));
-            assert_eq!(fused[2], spgemm_with(&a, &b, &mp, Accumulator::Spa));
-            assert_eq!(fused[3], spgemm_with(&a, &b, &np, Accumulator::Spa));
-        }
+        let fused = spgemm_multi(&a, &b, &pairs);
+        assert_eq!(fused.len(), 4);
+        assert_eq!(fused[0], spgemm_with(&a, &b, &pt, Accumulator::Spa));
+        assert_eq!(fused[1], spgemm_with(&a, &b, &mm, Accumulator::Spa));
+        assert_eq!(fused[2], spgemm_with(&a, &b, &mp, Accumulator::Spa));
+        assert_eq!(fused[3], spgemm_with(&a, &b, &np, Accumulator::Spa));
     }
 
     #[test]
@@ -501,13 +457,11 @@ mod tests {
         }
         let a = ca.into_csr(&pt);
         let b = cb.into_csr(&pt);
-        for acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            let serial = spgemm_multi(&a, &b, &pairs, acc);
-            let parallel = spgemm_multi_parallel(&a, &b, &pairs, acc);
-            assert_eq!(serial, parallel, "{:?}", acc);
-            assert_eq!(serial[0], spgemm_with(&a, &b, &ad, Accumulator::Esc));
-            assert_eq!(serial[1], spgemm_with(&a, &b, &pt, Accumulator::Esc));
-        }
+        let serial = spgemm_multi(&a, &b, &pairs);
+        let parallel = spgemm_multi_parallel(&a, &b, &pairs);
+        assert_eq!(serial, parallel);
+        assert_eq!(serial[0], spgemm_with(&a, &b, &ad, Accumulator::Esc));
+        assert_eq!(serial[1], spgemm_with(&a, &b, &pt, Accumulator::Esc));
     }
 
     #[test]
@@ -532,15 +486,13 @@ mod tests {
         let b = cb.into_csr(&pt6);
 
         let pairs: Vec<&dyn DynOpPair<Z6>> = vec![&pt6, &tp6];
-        for acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            let fused = spgemm_multi(&a, &b, &pairs, acc);
-            assert_eq!(fused[0].nnz(), 0, "wrapped sum must be pruned ({:?})", acc);
-            assert_eq!(fused[1].nnz(), 1, "×.+ lane unaffected ({:?})", acc);
-            // And identically to every sequential accumulator.
-            for seq_acc in [Accumulator::Spa, Accumulator::Hash, Accumulator::Esc] {
-                assert_eq!(fused[0], spgemm_with(&a, &b, &pt6, seq_acc));
-                assert_eq!(fused[1], spgemm_with(&a, &b, &tp6, seq_acc));
-            }
+        let fused = spgemm_multi(&a, &b, &pairs);
+        assert_eq!(fused[0].nnz(), 0, "wrapped sum must be pruned");
+        assert_eq!(fused[1].nnz(), 1, "×.+ lane unaffected");
+        // And identically to every sequential accumulator.
+        for seq_acc in [Accumulator::Spa, Accumulator::Hash, Accumulator::Esc] {
+            assert_eq!(fused[0], spgemm_with(&a, &b, &pt6, seq_acc));
+            assert_eq!(fused[1], spgemm_with(&a, &b, &tp6, seq_acc));
         }
     }
 
@@ -550,20 +502,8 @@ mod tests {
         let sym = spgemm_symbolic(&a, &b);
         let pt = PlusTimes::<Nat>::new();
         let mm = MaxMin::<Nat>::new();
-        let first = spgemm_multi_numeric(
-            &sym,
-            &a,
-            &b,
-            &[&pt as &dyn DynOpPair<Nat>],
-            MultiAccumulator::Spa,
-        );
-        let second = spgemm_multi_numeric(
-            &sym,
-            &a,
-            &b,
-            &[&mm as &dyn DynOpPair<Nat>],
-            MultiAccumulator::Spa,
-        );
+        let first = spgemm_multi_numeric(&sym, &a, &b, &[&pt as &dyn DynOpPair<Nat>]);
+        let second = spgemm_multi_numeric(&sym, &a, &b, &[&mm as &dyn DynOpPair<Nat>]);
         assert_eq!(first[0], spgemm_with(&a, &b, &pt, Accumulator::Spa));
         assert_eq!(second[0], spgemm_with(&a, &b, &mm, Accumulator::Spa));
     }
@@ -572,13 +512,13 @@ mod tests {
     fn empty_pair_list_and_empty_operands() {
         let (a, b) = operands();
         let none: Vec<&dyn DynOpPair<Nat>> = Vec::new();
-        assert!(spgemm_multi(&a, &b, &none, MultiAccumulator::Spa).is_empty());
+        assert!(spgemm_multi(&a, &b, &none).is_empty());
 
         let ea = Csr::<Nat>::empty(3, 4);
         let eb = Csr::<Nat>::empty(4, 2);
         let pt = PlusTimes::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
-        let out = spgemm_multi(&ea, &eb, &pairs, MultiAccumulator::Hash);
+        let out = spgemm_multi(&ea, &eb, &pairs);
         assert_eq!((out[0].nrows(), out[0].ncols(), out[0].nnz()), (3, 2, 0));
     }
 
@@ -589,7 +529,7 @@ mod tests {
         let b = build(2, 2, &[(0, 0, 1)]);
         let pt = PlusTimes::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
-        let _ = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Spa);
+        let _ = spgemm_multi(&a, &b, &pairs);
     }
 
     #[test]
@@ -600,15 +540,13 @@ mod tests {
         let mm = MaxMin::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt, &mm];
         let before = snapshot();
-        let _ = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Spa);
-        let _ = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Hash);
-        let _ = spgemm_multi_parallel(&a, &b, &pairs, MultiAccumulator::Spa);
+        let _ = spgemm_multi(&a, &b, &pairs);
+        let _ = spgemm_multi_parallel(&a, &b, &pairs);
         let delta = snapshot().since(&before);
         // ≥: the registry is process-global, tests run concurrently.
-        assert!(delta.get(Counter::FusedTraversals) >= 3, "{}", delta);
-        assert!(delta.get(Counter::FusedLanes) >= 6, "{}", delta);
+        assert!(delta.get(Counter::FusedTraversals) >= 2, "{}", delta);
+        assert!(delta.get(Counter::FusedLanes) >= 4, "{}", delta);
         assert!(delta.get(Counter::FusedSpa) >= 2, "{}", delta);
-        assert!(delta.get(Counter::FusedHash) >= 1, "{}", delta);
         assert!(delta.get(Counter::FusedParallel) >= 1, "{}", delta);
     }
 
@@ -620,15 +558,11 @@ mod tests {
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt, &mm];
         let occ_before = histograms().get(Hist::AccOccupancy).snapshot();
         let nnz_before = histograms().get(Hist::RowNnz).snapshot();
-        let _ = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Spa);
-        let _ = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Hash);
+        let _ = spgemm_multi(&a, &b, &pairs);
+        let _ = spgemm_multi(&a, &b, &pairs);
         // Slot map alone is ncols × 8 bytes; the SoA block adds more.
         assert!(
             memstats().peak(MemRegion::FusedAccumulator) >= (b.ncols() * size_of::<usize>()) as u64
-        );
-        assert!(
-            memstats().peak(MemRegion::HashScratch) >= 1,
-            "hash slot map reported transiently"
         );
         let occ = histograms()
             .get(Hist::AccOccupancy)

@@ -1,14 +1,13 @@
 //! Property-based bit-identity of the fused multi-semiring kernel:
 //! for random operands, every lane of `spgemm_multi` must equal the
 //! corresponding independent `spgemm_with` call — under every
-//! sequential accumulator, both fused slot-lookup strategies, the
-//! row-parallel variant, and a non-associative custom `⊕` (so fold
+//! sequential accumulator, the row-parallel variant, and a non-associative custom `⊕` (so fold
 //! order is observable, not just the folded multiset).
 
 use aarray_algebra::ops::{AbsDiff, Max, Min, Plus, Times};
 use aarray_algebra::values::nat::Nat;
 use aarray_algebra::{DynOpPair, OpPair};
-use aarray_sparse::spgemm_multi::{spgemm_multi, spgemm_multi_parallel, MultiAccumulator};
+use aarray_sparse::spgemm_multi::{spgemm_multi, spgemm_multi_parallel};
 use aarray_sparse::{spgemm_with, Accumulator, Coo, Csr};
 use proptest::prelude::*;
 
@@ -48,15 +47,13 @@ proptest! {
         let abs_diff: OpPair<Nat, AbsDiff, Times> = OpPair::new();
         let pairs: [&dyn DynOpPair<Nat>; 4] = [&plus_times, &max_min, &min_plus, &abs_diff];
 
-        for fused_acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            let fused = spgemm_multi(&a, &b, &pairs, fused_acc);
-            prop_assert_eq!(fused.len(), 4);
-            for seq_acc in [Accumulator::Spa, Accumulator::Hash, Accumulator::Esc] {
-                prop_assert_eq!(&fused[0], &spgemm_with(&a, &b, &plus_times, seq_acc));
-                prop_assert_eq!(&fused[1], &spgemm_with(&a, &b, &max_min, seq_acc));
-                prop_assert_eq!(&fused[2], &spgemm_with(&a, &b, &min_plus, seq_acc));
-                prop_assert_eq!(&fused[3], &spgemm_with(&a, &b, &abs_diff, seq_acc));
-            }
+        let fused = spgemm_multi(&a, &b, &pairs);
+        prop_assert_eq!(fused.len(), 4);
+        for seq_acc in [Accumulator::Spa, Accumulator::Hash, Accumulator::Esc] {
+            prop_assert_eq!(&fused[0], &spgemm_with(&a, &b, &plus_times, seq_acc));
+            prop_assert_eq!(&fused[1], &spgemm_with(&a, &b, &max_min, seq_acc));
+            prop_assert_eq!(&fused[2], &spgemm_with(&a, &b, &min_plus, seq_acc));
+            prop_assert_eq!(&fused[3], &spgemm_with(&a, &b, &abs_diff, seq_acc));
         }
     }
 
@@ -65,11 +62,9 @@ proptest! {
         let plus_times = pt();
         let abs_diff: OpPair<Nat, AbsDiff, Times> = OpPair::new();
         let pairs: [&dyn DynOpPair<Nat>; 2] = [&plus_times, &abs_diff];
-        for acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            let serial = spgemm_multi(&a, &b, &pairs, acc);
-            let parallel = spgemm_multi_parallel(&a, &b, &pairs, acc);
-            prop_assert_eq!(serial, parallel);
-        }
+        let serial = spgemm_multi(&a, &b, &pairs);
+        let parallel = spgemm_multi_parallel(&a, &b, &pairs);
+        prop_assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -77,7 +72,7 @@ proptest! {
         // K = 1 degenerates to plain two-phase SpGEMM.
         let abs_diff: OpPair<Nat, AbsDiff, Times> = OpPair::new();
         let pairs: [&dyn DynOpPair<Nat>; 1] = [&abs_diff];
-        let fused = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Spa);
+        let fused = spgemm_multi(&a, &b, &pairs);
         prop_assert_eq!(&fused[0], &spgemm_with(&a, &b, &abs_diff, Accumulator::Spa));
     }
 }
